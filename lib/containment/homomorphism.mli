@@ -26,15 +26,12 @@
 
 open Vplan_cq
 
-(** Flip the process-global fast-path default (on initially) — for A/B
-    measurement of pipelines that reach containment many layers down.
-    Per-call [?fastpath] overrides the global default. *)
-val set_fastpath : bool -> unit
-
 (** [find ~seed patterns targets] returns a substitution extending [seed]
     that maps every atom of [patterns] to an atom of [targets], or [None].
-    [seed] typically carries the head correspondence.  The witness may
-    differ between the two paths; both are valid homomorphisms. *)
+    [seed] typically carries the head correspondence.  [fastpath]
+    (default [true]) tries the join-tree DP first; [false] forces
+    backtracking.  The witness may differ between the two paths; both
+    are valid homomorphisms. *)
 val find :
   ?budget:Vplan_core.Budget.t ->
   ?fastpath:bool ->

@@ -3,41 +3,24 @@ type result = {
   sent : int;
   completed : int;
   ok : int;
-  hits : int;
   shed : int;
-  retried : int;
   errors : int;
   closed_early : int;
   elapsed_ms : float;
   qps : float;
-  p50_ms : float;
-  p99_ms : float;
-  max_ms : float;
 }
-
-(* Exponential backoff with full jitter: attempt [k] (0-based) waits
-   uniformly in [0, backoff_ms * 2^k].  Jitter decorrelates the fleet —
-   without it every shed client would retry into the same queue-full
-   instant that shed it. *)
-let backoff_delay_s ~backoff_ms attempt =
-  let cap = backoff_ms *. (2.0 ** float_of_int attempt) in
-  Random.float (Float.max 1e-6 cap) /. 1000.0
 
 (* One driven connection.  [outbox] is bytes not yet written (requests
    are tiny, so string concatenation on the rare short write is fine);
-   [starts] holds (send time, request line, attempt) for every
-   in-flight request, FIFO, which is sound because the server answers
-   each connection in request order.  Only the first line of a response
-   matters for classification, so the rest are discarded as they
-   arrive.  [retry_at] is an [err busy] response waiting out its
-   backoff before being resent on this connection. *)
+   [pending] counts in-flight requests, at most one in closed loop.
+   Only the first line of a response matters for classification, so the
+   rest are discarded as they arrive. *)
 type conn = {
   id : int;
   fd : Unix.file_descr;
   mutable outbox : string;
   inbuf : Buffer.t;
-  starts : (float * string * int) Queue.t;
-  mutable retry_at : (float * string * int) option;
+  mutable pending : int;
   mutable first_line : string option;
   mutable in_response : bool;
   mutable seq : int;
@@ -58,8 +41,7 @@ let connect_conn ~host ~port id =
     fd;
     outbox = "";
     inbuf = Buffer.create 256;
-    starts = Queue.create ();
-    retry_at = None;
+    pending = 0;
     first_line = None;
     in_response = false;
     seq = 0;
@@ -71,41 +53,24 @@ let close_conn c =
     c.closed <- true;
     try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = p *. float_of_int (n - 1) in
-    let lo = int_of_float rank in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
-let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
-    ?(grace_ms = 2000.0) ?(retries = 0) ?(backoff_ms = 5.0) ~duration_ms
+let run ?(host = "127.0.0.1") ~port ~clients ?(grace_ms = 2000.0) ~duration_ms
     ~request () =
   if clients < 1 then invalid_arg "Loadgen.run: clients must be >= 1";
-  if retries < 0 then invalid_arg "Loadgen.run: retries must be >= 0";
   let conns = Array.init clients (connect_conn ~host ~port) in
   let sent = ref 0 in
   let completed = ref 0 in
   let ok = ref 0 in
-  let hits = ref 0 in
   let shed = ref 0 in
-  let retried = ref 0 in
   let errors = ref 0 in
-  let latencies = ref [] in
-  let nlat = ref 0 in
   let start = Unix.gettimeofday () in
   let deadline = start +. (duration_ms /. 1000.0) in
   let hard_stop = deadline +. (grace_ms /. 1000.0) in
-  let rr = ref 0 in
-  let exhausted c =
-    match max_per_client with Some m -> c.seq >= m | None -> false
-  in
-  let post now c line attempt =
+  let enqueue c =
+    let line = request ~client:c.id ~seq:c.seq in
+    c.seq <- c.seq + 1;
+    incr sent;
     c.outbox <- c.outbox ^ line ^ "\n";
-    Queue.push (now, line, attempt) c.starts;
+    c.pending <- c.pending + 1;
     (* optimistic immediate write: the socket buffer is almost always
        empty in closed loop, and skipping the select round halves the
        syscalls per request *)
@@ -117,92 +82,22 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
         ()
     | exception Unix.Unix_error (_, _, _) -> close_conn c
   in
-  let enqueue now c =
-    let line = request ~client:c.id ~seq:c.seq in
-    c.seq <- c.seq + 1;
-    incr sent;
-    post now c line 0
-  in
-  (* Open loop sends on the clock; closed loop sends on completion.
-     Either way, a due retry goes out first — and past the deadline
-     pending retries are abandoned (counted shed) so the run can end. *)
+  (* closed loop: a connection sends its next request on completion *)
   let schedule now =
-    Array.iter
-      (fun c ->
-        match c.retry_at with
-        | Some (due, line, attempt) when not c.closed ->
-            if now >= deadline then begin
-              c.retry_at <- None;
-              incr shed
-            end
-            else if now >= due then begin
-              c.retry_at <- None;
-              incr retried;
-              post now c line attempt
-            end
-        | Some _ ->
-            c.retry_at <- None;
-            incr shed
-        | None -> ())
-      conns;
     if now < deadline then
-      match rate with
-      | None ->
-          Array.iter
-            (fun c ->
-              if
-                (not c.closed)
-                && Queue.is_empty c.starts
-                && c.retry_at = None
-                && (not (exhausted c))
-                && c.outbox = ""
-              then enqueue now c)
-            conns
-      | Some r ->
-          let due = int_of_float (r *. (now -. start)) - !sent in
-          for _ = 1 to due do
-            (* Round-robin over live, non-exhausted connections; give up
-               after one full lap so a dead fleet can't spin. *)
-            let placed = ref false in
-            let tries = ref 0 in
-            while (not !placed) && !tries < clients do
-              let c = conns.(!rr mod clients) in
-              incr rr;
-              incr tries;
-              if (not c.closed) && not (exhausted c) then (
-                enqueue now c;
-                placed := true)
-            done
-          done
+      Array.iter
+        (fun c -> if (not c.closed) && c.pending = 0 && c.outbox = "" then enqueue c)
+        conns
   in
   let on_line c line =
     if c.in_response then (
       if line = "." then (
         c.in_response <- false;
         incr completed;
-        let now = Unix.gettimeofday () in
-        let t0, req_line, attempt = Queue.pop c.starts in
-        let ms = (now -. t0) *. 1000.0 in
+        c.pending <- c.pending - 1;
         (match c.first_line with
-        | Some l when String.length l >= 2 && String.sub l 0 2 = "ok" ->
-            incr ok;
-            latencies := ms :: !latencies;
-            incr nlat;
-            let hit =
-              (* first line of a rewrite reply: "ok N hit trace=T" *)
-              match String.split_on_char ' ' l with
-              | _ :: _ :: "hit" :: _ -> true
-              | _ -> false
-            in
-            if hit then incr hits
-        | Some "err busy" ->
-            (* one retry slot per connection is enough: closed loop has
-               one request in flight, and in open loop a second busy
-               just counts as shed rather than stacking a backlog *)
-            if attempt < retries && c.retry_at = None then
-              c.retry_at <-
-                Some (now +. backoff_delay_s ~backoff_ms attempt, req_line, attempt + 1)
-            else incr shed
+        | Some l when String.length l >= 2 && String.sub l 0 2 = "ok" -> incr ok
+        | Some "err busy" -> incr shed
         | Some _ | None -> incr errors);
         c.first_line <- None))
     else (
@@ -211,7 +106,7 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
         (* a response that is only the terminator: empty reply *)
         c.in_response <- false;
         incr completed;
-        ignore (Queue.pop c.starts);
+        c.pending <- c.pending - 1;
         incr errors)
       else c.first_line <- Some line)
   in
@@ -221,26 +116,24 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
     Buffer.clear c.inbuf;
     let n = String.length s in
     let pos = ref 0 in
-    (try
-       while !pos < n do
-         match String.index_from s !pos '\n' with
-         | exception Not_found ->
-             Buffer.add_substring c.inbuf s !pos (n - !pos);
-             pos := n
-         | nl ->
-             let line = String.sub s !pos (nl - !pos) in
-             let line =
-               let ll = String.length line in
-               if ll > 0 && line.[ll - 1] = '\r' then String.sub line 0 (ll - 1)
-               else line
-             in
-             pos := nl + 1;
-             on_line c line
-       done
-     with Queue.Empty ->
-       (* response without a matching request: protocol desync; drop
-          the connection rather than corrupt the tallies *)
-       close_conn c)
+    while (not c.closed) && !pos < n do
+      match String.index_from s !pos '\n' with
+      | exception Not_found ->
+          Buffer.add_substring c.inbuf s !pos (n - !pos);
+          pos := n
+      | nl ->
+          let line = String.sub s !pos (nl - !pos) in
+          let line =
+            let ll = String.length line in
+            if ll > 0 && line.[ll - 1] = '\r' then String.sub line 0 (ll - 1)
+            else line
+          in
+          pos := nl + 1;
+          on_line c line;
+          (* response without a matching request: protocol desync; drop
+             the connection rather than corrupt the tallies *)
+          if c.pending < 0 then close_conn c
+    done
   in
   let buf = Bytes.create 65536 in
   let by_fd = Hashtbl.create (2 * clients) in
@@ -248,22 +141,12 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
   let finished () =
     let now = Unix.gettimeofday () in
     (now >= deadline
-    && Array.for_all
-         (fun c -> c.closed || (Queue.is_empty c.starts && c.outbox = ""))
-         conns)
+    && Array.for_all (fun c -> c.closed || (c.pending = 0 && c.outbox = "")) conns)
     || now >= hard_stop
     || Array.for_all (fun c -> c.closed) conns
-    || (max_per_client <> None
-       && Array.for_all
-            (fun c ->
-              c.closed
-              || (exhausted c && Queue.is_empty c.starts && c.outbox = ""
-                 && c.retry_at = None))
-            conns)
   in
   while not (finished ()) do
-    let now = Unix.gettimeofday () in
-    schedule now;
+    schedule (Unix.gettimeofday ());
     let rds =
       Array.to_list conns
       |> List.filter_map (fun c -> if c.closed then None else Some c.fd)
@@ -275,13 +158,8 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
     in
     if rds = [] && wrs = [] then ()
     else
-      let timeout =
-        match rate with
-        | None -> 0.05
-        | Some r -> Float.max 0.001 (Float.min 0.05 (1.0 /. r))
-      in
       let rd, wr, _ =
-        try Unix.select rds wrs [] timeout
+        try Unix.select rds wrs [] 0.05
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       List.iter
@@ -319,37 +197,19 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
               | exception Unix.Unix_error (_, _, _) -> close_conn c))
         rd
   done;
-  (* a retry still waiting out its backoff when the run ends was never
-     resent: it is a shed request, not a completed one *)
-  Array.iter
-    (fun c ->
-      match c.retry_at with
-      | Some _ ->
-          c.retry_at <- None;
-          incr shed
-      | None -> ())
-    conns;
   let elapsed_ms = (Unix.gettimeofday () -. start) *. 1000.0 in
   let closed_early = Array.fold_left (fun a c -> if c.closed then a + 1 else a) 0 conns in
   Array.iter close_conn conns;
-  let lat = Array.make !nlat 0.0 in
-  List.iteri (fun i v -> lat.(i) <- v) !latencies;
-  Array.sort compare lat;
   {
     clients;
     sent = !sent;
     completed = !completed;
     ok = !ok;
-    hits = !hits;
     shed = !shed;
-    retried = !retried;
     errors = !errors;
     closed_early;
     elapsed_ms;
     qps = (if elapsed_ms > 0.0 then float_of_int !ok /. (elapsed_ms /. 1000.0) else 0.0);
-    p50_ms = percentile lat 0.50;
-    p99_ms = percentile lat 0.99;
-    max_ms = (if !nlat = 0 then 0.0 else lat.(!nlat - 1));
   }
 
 module Client = struct
@@ -419,16 +279,9 @@ module Client = struct
     in
     go []
 
-  let request ?(retries = 0) ?(backoff_ms = 5.0) t line =
-    let rec go attempt =
-      send t line;
-      match read_response t with
-      | [ "err busy" ] when attempt < retries ->
-          Unix.sleepf (backoff_delay_s ~backoff_ms attempt);
-          go (attempt + 1)
-      | resp -> resp
-    in
-    go 0
+  let request t line =
+    send t line;
+    read_response t
 
   let drain t n = List.init n (fun _ -> read_response t)
 

@@ -177,6 +177,4 @@ let add_to_keyed ?budget classes views =
       insert classes)
     classes views
 
-let group_views ?budget ?(buckets = true) views =
-  if not buckets then group ~eq:(view_equivalent ?budget) views
-  else List.map snd (group_views_keyed ?budget views)
+let group_views ?budget views = List.map snd (group_views_keyed ?budget views)

@@ -45,16 +45,16 @@ val view_equivalent : ?budget:Vplan_core.Budget.t -> Query.t -> Query.t -> bool
 
 (** [group_views views] groups views equivalent as queries (ignoring their
     distinct head predicate names: [v1 ≡ v5] in the car-loc-part example).
-    [buckets] (default [true]) enables signature bucketing; the resulting
-    classes are identical either way.  A [?budget] bounds the underlying
+    Views are bucketed by {!signature} and compared pairwise only within a
+    bucket; the classes, class order and member order are those of
+    [group ~eq:view_equivalent views].  A [?budget] bounds the underlying
     minimization/equivalence searches. *)
-val group_views :
-  ?budget:Vplan_core.Budget.t -> ?buckets:bool -> View.t list -> View.t list list
+val group_views : ?budget:Vplan_core.Budget.t -> View.t list -> View.t list list
 
 (** [group_views_keyed views] is {!group_views} with each class tagged by
     its representative's {!signature} — the persistent form a long-lived
     view catalog keeps so views can later be added without regrouping the
-    whole set.  [group_views ~buckets:true views
+    whole set.  [group_views views
     = List.map snd (group_views_keyed views)]. *)
 val group_views_keyed :
   ?budget:Vplan_core.Budget.t -> View.t list -> (string * View.t list) list

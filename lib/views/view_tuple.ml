@@ -10,23 +10,15 @@ let equal t1 t2 = Atom.equal t1.atom t2.atom
 let compare t1 t2 = Atom.compare t1.atom t2.atom
 let pp ppf t = Atom.pp ppf t.atom
 
-let compute ?budget ?(engine = `Indexed) ?(domains = 1) ~query views =
+let compute ?budget ?(domains = 1) ~query views =
   let canonical, answers =
     Vplan_obs.Obs.phase "canonical_db" (fun () ->
         let canonical = Canonical.freeze query in
-        let db = Canonical.database canonical in
-        let answers =
-          match engine with
-          | `Nested_loop -> Eval.answers db
-          | `Indexed ->
-              (* one interned database for all views: each (predicate,
-                 bound positions) index is built once; index construction
-                 is mutex-guarded, so the parallel fan-out can share
-                 it *)
-              let idb = Indexed_db.of_database db in
-              Indexed_db.answers idb
-        in
-        (canonical, answers))
+        (* one interned database for all views: each (predicate, bound
+           positions) index is built once; index construction is
+           mutex-guarded, so the parallel fan-out can share it *)
+        let idb = Indexed_db.of_database (Canonical.database canonical) in
+        (canonical, Indexed_db.answers idb))
   in
   let tuples_of_view view =
     (* one tick per view: cancellation reaches each worker between views *)

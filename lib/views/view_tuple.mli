@@ -21,11 +21,10 @@ val pp : Format.formatter -> t -> unit
 (** [compute ~query views] computes [T(Q,V)].  The query should normally
     be minimized first (CoreCover step 1).
 
-    [engine] selects the evaluation engine applied to the canonical
-    database: [`Indexed] (default) interns it once and probes lazily built
-    hash indexes ({!Vplan_relational.Indexed_db}); [`Nested_loop] is the
-    plain backtracking join of {!Vplan_relational.Eval}.  Both produce the
-    same tuples in the same order.
+    The views are evaluated over the canonical database, interned once,
+    by probing lazily built hash indexes ({!Vplan_relational.Indexed_db});
+    the result is the same as evaluating each view with
+    {!Vplan_relational.Eval.answers} and thawing its tuples.
 
     [domains] (default 1) fans the per-view evaluation out across that
     many domains ({!Vplan_parallel.Parallel.map}); the result is
@@ -36,7 +35,6 @@ val pp : Format.formatter -> t -> unit
     cancellation stops all workers within one view evaluation. *)
 val compute :
   ?budget:Vplan_core.Budget.t ->
-  ?engine:[ `Indexed | `Nested_loop ] ->
   ?domains:int ->
   query:Query.t ->
   View.t list ->

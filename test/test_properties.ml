@@ -582,10 +582,14 @@ let set_cover_props =
           List.for_all (fun c' -> List.length c' = k) covers
           && List.for_all (fun i -> List.length i >= k) irr)
 
-(* The CoreCover performance toggles — view grouping, indexed evaluation,
-   signature/mask bucketing, parallel fan-out — are pure optimizations:
-   every configuration must produce the same rewritings on generated
-   star/chain workloads. *)
+(* The CoreCover performance toggles — view grouping, parallel fan-out —
+   are pure optimizations: every configuration must produce the same
+   rewritings on generated star/chain workloads.  The built-in fast paths
+   are held to test-side references: view tuples from the interned,
+   hash-indexed evaluator equal backtracking evaluation over the
+   canonical database; signature-bucketed view classes equal the pairwise
+   equivalence grouping; mask-bucketed tuple classes equal the pairwise
+   [same_cover] grouping. *)
 let corecover_configs_agree =
   let gen =
     Gen.(
@@ -607,15 +611,41 @@ let corecover_configs_agree =
           let rewritings r =
             List.sort Query.compare r.Corecover.rewritings
           in
-          let reference = rewritings (Corecover.gmrs ~query ~views ()) in
-          List.for_all
-            (fun variant -> List.equal Query.equal reference (rewritings (variant ())))
-            [
-              (fun () -> Corecover.gmrs ~group_views:false ~query ~views ());
-              (fun () -> Corecover.gmrs ~indexed:false ~query ~views ());
-              (fun () -> Corecover.gmrs ~buckets:false ~query ~views ());
-              (fun () -> Corecover.gmrs ~domains:4 ~query ~views ());
-            ])
+          let r = Corecover.gmrs ~query ~views () in
+          let reference = rewritings r in
+          let qm = r.Corecover.minimized_query in
+          let reps = Equiv_class.representatives r.Corecover.view_classes in
+          let view_tuples_ref =
+            let canonical = Canonical.freeze qm in
+            let db = Canonical.database canonical in
+            List.concat_map
+              (fun view ->
+                Relation.fold
+                  (fun tuple acc ->
+                    Atom.make (View.name view) (Canonical.thaw_tuple canonical tuple)
+                    :: acc)
+                  (Eval.answers db view) []
+                |> List.rev)
+              reps
+          in
+          let tuple_classes_ref =
+            List.map (fun tv -> (tv, Tuple_core.compute ~query:qm tv)) r.Corecover.view_tuples
+            |> Equiv_class.group ~eq:(fun (_, c1) (_, c2) -> Tuple_core.same_cover c1 c2)
+            |> List.map (List.map fst)
+          in
+          List.equal Atom.equal view_tuples_ref
+            (List.map (fun tv -> tv.View_tuple.atom) r.Corecover.view_tuples)
+          && List.equal (List.equal Query.equal)
+               (Equiv_class.group ~eq:Equiv_class.view_equivalent views)
+               (Equiv_class.group_views views)
+          && List.equal (List.equal View_tuple.equal) tuple_classes_ref
+               r.Corecover.tuple_classes
+          && List.for_all
+               (fun variant -> List.equal Query.equal reference (rewritings (variant ())))
+               [
+                 (fun () -> Corecover.gmrs ~group_views:false ~query ~views ());
+                 (fun () -> Corecover.gmrs ~domains:4 ~query ~views ());
+               ])
 
 (* Budgets make CoreCover anytime, never unsound: whatever a step-limited
    run returns is a subset of the unbudgeted run's rewritings, and a run
