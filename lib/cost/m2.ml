@@ -215,22 +215,40 @@ let tuples_of db (a : Atom.t) =
   | None -> [||]
   | Some r -> Array.of_list (List.map Array.of_list (Relation.tuples r))
 
-let cost_of_order db order =
-  let relation_costs = body_relation_cells db order in
-  let code_of = local_coder () in
-  let _, _, ir_cells =
-    List.fold_left
-      (fun (slots, envs, acc) (a : Atom.t) ->
-        let cargs = carg_of code_of a in
-        let new_slots, envs =
-          hash_join ~slots ~cargs ~avars:(avars_of cargs)
-            ~tuples:(tuples_of db a) envs
-        in
-        (new_slots, envs, acc + (List.length envs * max 1 (Array.length new_slots))))
-      ([||], [ [||] ], 0)
-      order
+(* A key of the memo's cells-only namespace: a tag byte telling the
+   kinds of cell count apart, then each atom's interned code as four
+   bytes. *)
+let cells_key tag codes =
+  let b = Buffer.create (1 + (4 * List.length codes)) in
+  Buffer.add_char b tag;
+  List.iter (fun c -> Buffer.add_int32_le b (Int32.of_int c)) codes;
+  Buffer.contents b
+
+let cost_of_order ?memo db order =
+  let compute () =
+    let relation_costs = body_relation_cells db order in
+    let code_of = local_coder () in
+    let _, _, ir_cells =
+      List.fold_left
+        (fun (slots, envs, acc) (a : Atom.t) ->
+          let cargs = carg_of code_of a in
+          let new_slots, envs =
+            hash_join ~slots ~cargs ~avars:(avars_of cargs)
+              ~tuples:(tuples_of db a) envs
+          in
+          (new_slots, envs, acc + (List.length envs * max 1 (Array.length new_slots))))
+        ([||], [ [||] ], 0)
+        order
+    in
+    relation_costs + ir_cells
   in
-  relation_costs + ir_cells
+  match memo with
+  | None -> compute ()
+  | Some m ->
+      (* the cost of an order depends on the atom sequence, so the key
+         keeps join order *)
+      let codes = List.map (fun a -> Subplan.intern m (Atom.to_string a)) order in
+      Subplan.cells_or_add m (cells_key 'o' codes) compute
 
 (* DP over subsets.  With all attributes retained, both the tuple count
    and the width of IR depend only on the joined subgoal set, so
@@ -283,44 +301,14 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
       let code_of =
         match memo with
         | Some m -> fun x -> Subplan.intern m ("$" ^ x)
-        | None ->
-            let local = Hashtbl.create 16 and next = ref 0 in
-            fun x ->
-              match Hashtbl.find_opt local x with
-              | Some c -> c
-              | None ->
-                  let c = !next in
-                  Hashtbl.add local x c;
-                  incr next;
-                  c
+        | None -> local_coder ()
       in
-      let cargs =
-        Array.map
-          (fun (a : Atom.t) ->
-            Array.of_list
-              (List.map
-                 (function Term.Cst c -> Ccst c | Term.Var x -> Cvar (code_of x))
-                 a.Atom.args))
-          atoms
-      in
+      let cargs = Array.map (carg_of code_of) atoms in
       (* sorted distinct variable codes per atom *)
-      let avars =
-        Array.map
-          (fun ca ->
-            Array.to_list ca
-            |> List.filter_map (function Cvar v -> Some v | Ccst _ -> None)
-            |> List.sort_uniq Int.compare
-            |> Array.of_list)
-          cargs
-      in
-      let tuples =
-        Array.map
-          (fun (a : Atom.t) ->
-            match Database.find a.Atom.pred db with
-            | None -> [||]
-            | Some r -> Array.of_list (List.map Array.of_list (Relation.tuples r)))
-          atoms
-      in
+      let avars = Array.map avars_of cargs in
+      (* converted on first join only: a DP whose states all hit the
+         memo never touches a relation *)
+      let tuples = Array.map (fun a -> lazy (tuples_of db a)) atoms in
       (* per-atom variable masks over a dense local index, for the
          connected mode's shares-a-variable test *)
       let var_ids = Hashtbl.create 16 in
@@ -379,7 +367,7 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
       let join i prev =
         let new_slots, envs =
           hash_join ~slots:prev.Subplan.slots ~cargs:cargs.(i) ~avars:avars.(i)
-            ~tuples:tuples.(i) prev.Subplan.envs
+            ~tuples:(Lazy.force tuples.(i)) prev.Subplan.envs
         in
         {
           Subplan.slots = new_slots;
@@ -393,7 +381,7 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
         let _, const_checks, slot_checks, dup_checks =
           compile_checks cargs.(i) prev_slots
         in
-        let filtered = filter_tuples const_checks dup_checks tuples.(i) in
+        let filtered = filter_tuples const_checks dup_checks (Lazy.force tuples.(i)) in
         let count =
           match slot_checks with
           | [] -> List.length prev.Subplan.envs * List.length filtered
@@ -505,18 +493,26 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
              if !best_prev < max_int && !best_prev < headroom then begin
                let cells =
                  if sv = full then begin
-                   (* terminal state: its environment list is never a
-                      predecessor of anything — within this DP it ends
-                      every ordering, and across candidates no minimal
+                   (* terminal state: within this DP it ends every
+                      ordering, and across candidates no minimal
                       rewriting's body contains another's — so count the
-                      final join instead of materializing and caching
-                      it.  (The predecessor chosen by [arg] is already
-                      materialized: its [best] was computed above.) *)
-                   let p = full lxor (1 lsl !arg) in
-                   let prev =
-                     match entries.(p) with Some e -> e | None -> entry_of p
+                      final join instead of materializing it.  (The
+                      predecessor chosen by [arg] is already
+                      materialized: its [best] was computed above.)  The
+                      count is memoized in the cells-only namespace,
+                      where no later DP can mistake it for an entry to
+                      extend. *)
+                   let count () =
+                     let p = full lxor (1 lsl !arg) in
+                     let prev =
+                       match entries.(p) with Some e -> e | None -> entry_of p
+                     in
+                     count_cells !arg prev
                    in
-                   count_cells !arg prev
+                   match memo with
+                   | None -> count ()
+                   | Some m ->
+                       Subplan.cells_or_add m (cells_key 't' (Array.to_list codes)) count
                  end
                  else (entry_of sv).Subplan.cells
                in

@@ -18,7 +18,9 @@
     the candidate-selection engine ({!Select}):
 
     - a cross-candidate {!Subplan} memo shares environment sets between
-      candidates whose subgoal subsets coincide;
+      candidates whose subgoal subsets coincide, and keeps the counted
+      cells of each full subgoal set; a DP that finds every state there
+      never converts a relation to tuple arrays;
     - an optional [bound] turns the DP into branch-and-bound: states that
       provably cannot complete below the bound never materialize their
       environments, and the whole DP aborts once a popcount layer dies;
@@ -37,8 +39,10 @@ module Budget = Vplan_core.Budget
 val max_subgoals : int
 
 (** [cost_of_order db order] evaluates a specific ordering against the
-    database (normally the materialized-view database). *)
-val cost_of_order : Database.t -> Atom.t list -> int
+    database (normally the materialized-view database).  With [memo] the
+    cost is kept in the memo's cells-only namespace, keyed by the atoms
+    in join order, so costing the same order again joins nothing. *)
+val cost_of_order : ?memo:Subplan.t -> Database.t -> Atom.t list -> int
 
 (** [optimal db body] returns a cost-optimal ordering of [body] and its
     cost, by DP over subsets.  [memo] shares subplan evaluations across

@@ -34,13 +34,17 @@ type m3_choice = {
 
 (* Rank candidates cheapest-estimated-first so the incumbent starts
    strong; keep the original position for the deterministic tie-break.
-   A single candidate needs no catalog scan at all. *)
-let rank db (candidates : Query.t list) =
+   A single candidate needs no catalog at all. *)
+let rank ?rank_estimate db (candidates : Query.t list) =
   let indexed = List.mapi (fun i p -> (i, p)) candidates in
   match indexed with
   | [] | [ _ ] -> indexed
   | _ ->
-      let est = Estimate.analyze db in
+      let est =
+        match rank_estimate with
+        | Some get -> get ()
+        | None -> Estimate.analyze db
+      in
       let keyed =
         List.map (fun (i, p) -> (Estimate.order_cost est p.Query.body, i, p)) indexed
       in
@@ -93,7 +97,8 @@ let run ?budget ?(domains = 1) ~score ranked =
               if c < bc || (c = bc && i < bi) then r else best)
         seeded rest_results
 
-let best_m2 ?memo ?budget ?(domains = 1) ?(filters = []) db candidates =
+let best_m2 ?memo ?rank_estimate ?budget ?(domains = 1) ?(filters = []) db
+    candidates =
   Obs.phase "plan_select" @@ fun () ->
   let memo_before =
     if Trace.enabled () then Option.map Subplan.counters memo else None
@@ -109,7 +114,7 @@ let best_m2 ?memo ?budget ?(domains = 1) ?(filters = []) db candidates =
             match tree_seed p.Query.body with
             | None -> (bound, None)
             | Some order ->
-                let c = M2.cost_of_order db order in
+                let c = M2.cost_of_order ?memo db order in
                 if c + 1 < bound then (c + 1, Some (order, c)) else (bound, None)
           in
           match M2.optimal_pruned ?memo ?budget ~bound db p.Query.body with
@@ -133,7 +138,7 @@ let best_m2 ?memo ?budget ?(domains = 1) ?(filters = []) db candidates =
           if cost < bound then Some ((body, order), cost) else None
   in
   let result =
-    match run ?budget ~domains ~score (rank db candidates) with
+    match run ?budget ~domains ~score (rank ?rank_estimate db candidates) with
     | None -> None
     | Some (idx, (body, order), cost) ->
         let p = List.nth candidates idx in

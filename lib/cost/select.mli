@@ -19,7 +19,13 @@
       CAS-mins after each accepted candidate;
     - a shared {!Subplan} memo deduplicates join evaluation across
       candidates (and across requests, when the memo is owned by a
-      resident service catalog).
+      resident service catalog), including the cost of each acyclic
+      candidate's join-tree seed order.
+
+    The ranking catalog is {!Estimate.analyze} of the database, a scan
+    of every relation.  A caller that plans repeatedly against one
+    database passes {!best_m2} a [rank_estimate] to build it once; it
+    is only called when there are at least two candidates to rank.
 
     Determinism contract: for any [domains], the returned choice is the
     minimum over candidates of (cost, original candidate position) —
@@ -55,6 +61,7 @@ type m3_choice = {
     {!M2.optimal_pruned} under the incumbent bound. *)
 val best_m2 :
   ?memo:Subplan.t ->
+  ?rank_estimate:(unit -> Estimate.t) ->
   ?budget:Vplan_core.Budget.t ->
   ?domains:int ->
   ?filters:View_tuple.t list ->

@@ -6,6 +6,7 @@ type entry = {
 
 type t = {
   table : (string, entry) Hashtbl.t;
+  cells : (string, int) Hashtbl.t;
   interns : (string, int) Hashtbl.t;
   capacity : int;
   lock : Mutex.t;
@@ -17,6 +18,7 @@ type t = {
 let create ?(capacity = 1 lsl 18) () =
   {
     table = Hashtbl.create 1024;
+    cells = Hashtbl.create 256;
     interns = Hashtbl.create 256;
     capacity = max 1 capacity;
     lock = Mutex.create ();
@@ -40,7 +42,10 @@ let intern t id =
           Hashtbl.add t.interns id code;
           code)
 
-let clear t = locked t (fun () -> Hashtbl.reset t.table)
+let clear t =
+  locked t (fun () ->
+      Hashtbl.reset t.table;
+      Hashtbl.reset t.cells)
 
 let find t key =
   locked t (fun () ->
@@ -50,31 +55,36 @@ let find t key =
           Some e
       | None -> None)
 
-(* The join evaluation in [compute] runs outside the lock: it can be far
-   more expensive than the table operations, and it only reads the (immutable)
-   database.  Two domains racing on one key both compute the same canonical
-   value, so last-insert-wins is correct. *)
-let find_or_add t key compute =
+(* Shared by both namespaces.  The computation runs outside the lock: it
+   can be far more expensive than the table operations, and it only reads
+   the (immutable) database.  Two domains racing on one key both compute
+   the same canonical value, so last-insert-wins is correct.  The
+   capacity bounds both tables together. *)
+let memoized t table key compute =
   match
     locked t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some e ->
+        match Hashtbl.find_opt table key with
+        | Some v ->
             t.hits <- t.hits + 1;
-            Some e
+            Some v
         | None ->
             t.misses <- t.misses + 1;
             None)
   with
-  | Some e -> e
+  | Some v -> v
   | None ->
-      let e = compute () in
+      let v = compute () in
       locked t (fun () ->
-          if Hashtbl.length t.table >= t.capacity then begin
+          if Hashtbl.length t.table + Hashtbl.length t.cells >= t.capacity then begin
             Hashtbl.reset t.table;
+            Hashtbl.reset t.cells;
             t.resets <- t.resets + 1
           end;
-          Hashtbl.replace t.table key e);
-      e
+          Hashtbl.replace table key v);
+      v
+
+let find_or_add t key compute = memoized t t.table key compute
+let cells_or_add t key compute = memoized t t.cells key compute
 
 type counters = {
   size : int;
@@ -85,4 +95,9 @@ type counters = {
 
 let counters t =
   locked t (fun () ->
-      { size = Hashtbl.length t.table; hits = t.hits; misses = t.misses; resets = t.resets })
+      {
+        size = Hashtbl.length t.table + Hashtbl.length t.cells;
+        hits = t.hits;
+        misses = t.misses;
+        resets = t.resets;
+      })

@@ -19,6 +19,13 @@
     is valid for exactly one database; callers must {!clear} (or drop)
     it when the underlying relations change.
 
+    A second, cells-only namespace ({!cells_or_add}) holds bare cell
+    counts: the two M2 costs that are computed without materializing an
+    entry (a candidate's terminal state and the cost of its join-tree
+    seed order).  It is a separate table, so a counted state can never
+    be handed out by {!find} or {!find_or_add} as a DP predecessor —
+    it has no environments to extend.
+
     The store is domain-safe: lookups and inserts are guarded by a
     mutex, while the join evaluation itself runs outside the lock.  Two
     domains racing on the same key may both compute it — the values are
@@ -36,8 +43,9 @@ type entry = {
   cells : int;  (** [size(IR)] = tuples × width, the DP's cost term *)
 }
 
-(** [create ?capacity ()] — an empty store.  When the entry count would
-    exceed [capacity] (default [1 lsl 18]) the store is reset wholesale:
+(** [create ?capacity ()] — an empty store.  When the entry count of
+    both namespaces together would exceed [capacity] (default
+    [1 lsl 18]) the store is reset wholesale:
     a crude bound, but entries are pure caches so correctness is
     unaffected. *)
 val create : ?capacity:int -> unit -> t
@@ -62,8 +70,14 @@ val find : t -> string -> entry option
     runs [compute] (outside the lock) and caches its result. *)
 val find_or_add : t -> string -> (unit -> entry) -> entry
 
+(** [cells_or_add t key compute] — the cells-only namespace: the cached
+    cell count for [key], or [compute ()] (outside the lock), cached.
+    Keys here never alias the entries of {!find_or_add}; hits and
+    misses count in the same counters. *)
+val cells_or_add : t -> string -> (unit -> int) -> int
+
 type counters = {
-  size : int;  (** entries currently cached *)
+  size : int;  (** entries currently cached, both namespaces *)
   hits : int;
   misses : int;
   resets : int;  (** capacity-triggered wholesale clears *)

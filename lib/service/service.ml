@@ -97,13 +97,18 @@ type entry = { canon : Query.t; result : Corecover.result }
 
 (* Plan-selection state, valid for exactly one (catalog, base database)
    pair: the materialized view relations and the subplan memo keyed over
-   them.  Compared by physical identity — any catalog swap or base load
-   produces fresh values. *)
+   them, plus two derivatives of the view relations built on first use —
+   the statistics [Select] ranks candidates by, and the interned copy
+   [analyze] executes against.  Compared by physical identity — any
+   catalog swap or base load produces fresh values.  The mutable fields
+   are read and written under the service lock only. *)
 type plan_ctx = {
   p_cat : Catalog.t;
   p_base : Database.t;
   p_view_db : Database.t;
   p_memo : Subplan.t;
+  mutable p_rank : Estimate.t option;
+  mutable p_interned : Interned.t option;
 }
 
 (* Estimated-mode planning state, valid for exactly one
@@ -297,58 +302,95 @@ let rewrite_batch ?(make_budget = fun () -> None) ?max_covers ?(domains = 1) t
     (fun query -> rewrite ?budget:(make_budget ()) ?max_covers t query)
     queries
 
-(* Reuse the cached plan context when both the catalog and the base are
-   the ones it was built for; otherwise materialize the views (outside
-   the lock — it joins every view body) and publish, preferring a
-   concurrently-published equal context so the memo stays shared. *)
-let plan_ctx t cat db =
-  let live ctx = ctx.p_cat == cat && ctx.p_base == db in
-  match locked t (fun () -> t.pctx) with
-  | Some ctx when live ctx -> ctx
-  | _ ->
-      let fresh =
-        {
-          p_cat = cat;
-          p_base = db;
-          p_view_db =
-            (* traced: on the first plan after a catalog/base change this
-               dominates the request, and explain should show it *)
-            Vplan_obs.Obs.phase "materialize" (fun () ->
-                Materialize.views db (Catalog.views cat));
-          p_memo = Subplan.create ();
-        }
-      in
+(* Cached per-generation state is published with one discipline:
+   [build] runs outside the lock (it can join every view body), and a
+   value another domain published meanwhile wins, so all requests share
+   one copy — and, for a plan context, one memo. *)
+let publish_once t ~get ~set build =
+  match locked t get with
+  | Some v -> v
+  | None ->
+      let fresh = build () in
       locked t (fun () ->
-          match t.pctx with
-          | Some ctx when live ctx -> ctx
-          | _ ->
-              t.pctx <- Some fresh;
+          match get () with
+          | Some v -> v
+          | None ->
+              set fresh;
               fresh)
 
-(* Same publish discipline for the estimation catalog; building it folds
-   a join profile per view body — cheap, but traced so explain shows
-   where estimated-mode time goes on the first request. *)
+(* Reuse the cached plan context when both the catalog and the base are
+   the ones it was built for; otherwise materialize the views. *)
+let plan_ctx t cat db =
+  publish_once t
+    ~get:(fun () ->
+      match t.pctx with
+      | Some ctx when ctx.p_cat == cat && ctx.p_base == db -> Some ctx
+      | _ -> None)
+    ~set:(fun ctx -> t.pctx <- Some ctx)
+    (fun () ->
+      {
+        p_cat = cat;
+        p_base = db;
+        p_view_db =
+          (* traced: on the first plan after a catalog/base change this
+             dominates the request, and explain should show it *)
+          Obs.phase "materialize" (fun () ->
+              Materialize.views db (Catalog.views cat));
+        p_memo = Subplan.create ();
+        p_rank = None;
+        p_interned = None;
+      })
+
+(* The estimation catalog; building it folds a join profile per view
+   body — cheap, but traced so explain shows where estimated-mode time
+   goes on the first request. *)
 let est_ctx t cat stats =
-  let live ctx = ctx.e_cat == cat && ctx.e_stats == stats in
-  match locked t (fun () -> t.ectx) with
-  | Some ctx when live ctx -> ctx.e_est
-  | _ ->
-      let est =
-        Obs.phase "estimate" (fun () ->
-            Estimate.view_stats (Estimate.of_stats stats) (Catalog.views cat))
-      in
-      let fresh = { e_cat = cat; e_stats = stats; e_est = est } in
-      locked t (fun () ->
-          match t.ectx with
-          | Some ctx when live ctx -> ctx.e_est
-          | _ ->
-              t.ectx <- Some fresh;
-              est)
+  let ctx =
+    publish_once t
+      ~get:(fun () ->
+        match t.ectx with
+        | Some ctx when ctx.e_cat == cat && ctx.e_stats == stats -> Some ctx
+        | _ -> None)
+      ~set:(fun ctx -> t.ectx <- Some ctx)
+      (fun () ->
+        let est =
+          Obs.phase "estimate" (fun () ->
+              Estimate.view_stats (Estimate.of_stats stats) (Catalog.views cat))
+        in
+        { e_cat = cat; e_stats = stats; e_est = est })
+  in
+  ctx.e_est
+
+(* A plan context's ranking statistics and interned view image, built on
+   first use rather than with the context, so creating one costs no
+   more than materializing the views. *)
+let rank_estimate t ctx () =
+  publish_once t
+    ~get:(fun () -> ctx.p_rank)
+    ~set:(fun v -> ctx.p_rank <- Some v)
+    (fun () -> Estimate.analyze ctx.p_view_db)
+
+let interned t ctx =
+  publish_once t
+    ~get:(fun () -> ctx.p_interned)
+    ~set:(fun v -> ctx.p_interned <- Some v)
+    (fun () -> Obs.phase "intern" (fun () -> Interned.of_database ctx.p_view_db))
 
 (* Candidate enumeration and cost-based choice, shared by [plan] and
    [analyze].  Returns the CoreCover result alongside the chosen
-   (rewriting, join order, cost), if any rewriting exists. *)
+   (rewriting, join order, cost), if any rewriting exists.
+
+   Planning runs on the canonical query, as [rewrite] does, and renames
+   the choice back into the caller's variables.  The subplan memo keys
+   its states by atom renderings, so only canonical variables let a
+   renamed or reordered request reuse an earlier request's joins.  An
+   uncanonicalizable query is planned as-is. *)
 let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
+  let query, back =
+    match Normalize.canonicalize query with
+    | None -> (query, Subst.empty)
+    | Some (canon, sigma) -> (canon, invert sigma)
+  in
   let r =
     Corecover.all_minimal ?budget ?max_results:max_covers
       ~view_classes:(Catalog.view_classes cat)
@@ -361,8 +403,8 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
         Option.map
           (fun (c : Select.m2_choice) ->
             (c.Select.m2_rewriting, c.Select.m2_order, Cells c.Select.m2_cost))
-          (Select.best_m2 ~memo:ctx.p_memo ?budget ~domains
-             ~filters:r.Corecover.filters ctx.p_view_db
+          (Select.best_m2 ~memo:ctx.p_memo ~rank_estimate:(rank_estimate t ctx)
+             ?budget ~domains ~filters:r.Corecover.filters ctx.p_view_db
              r.Corecover.rewritings)
     | Estimated ->
         (* statistics always exist once a base is loaded ([set_base]
@@ -380,7 +422,11 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
               Cells_est c.Select.est_cost ))
           (Select.best_m2_estimated ?budget est r.Corecover.rewritings)
   in
-  (r, choice)
+  ( r,
+    Option.map
+      (fun (rw, order, cost) ->
+        (Query.apply back rw, List.map (Atom.apply back) order, cost))
+      choice )
 
 let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
@@ -449,13 +495,10 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
                      (Estimate.atom_profile est a)
                      rest)
           in
-          (* interned per request rather than cached on the plan context:
-             analyze is a diagnosis surface, and forcing a shared lazy
-             cell from concurrent worker domains is exactly the kind of
-             subtlety it exists to debug, not to have *)
-          let interned =
-            Obs.phase "intern" (fun () -> Interned.of_database ctx.p_view_db)
-          in
+          (* the interned view image is the plan context's, built by the
+             first analyze after a catalog or base change: interning
+             costs several times the join it feeds *)
+          let interned = interned t ctx in
           let ordered = Query.make_exn rw.Query.head order in
           let profile = Profile.create ~name:(Query.to_string rw) () in
           let answers =

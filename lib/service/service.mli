@@ -130,9 +130,9 @@ val base : t -> Vplan_relational.Database.t option
     counts, histograms) unless [stats] supplies previously collected
     ones — the warm-restart path, where the snapshot carries them.
     Invalidates the service's plan contexts (materialized view
-    relations, the cross-request subplan memo, and the estimation
-    catalog); the rewrite cache is untouched — rewritings are
-    database-independent. *)
+    relations, the cross-request subplan memo, the ranking statistics
+    and interned image of the views, and the estimation catalog); the
+    rewrite cache is untouched — rewritings are database-independent. *)
 val set_base : ?stats:Vplan_stats.Stats.t -> t -> Vplan_relational.Database.t -> unit
 
 (** Statistics for the loaded base database, if any. *)
@@ -172,6 +172,12 @@ val rewrite_batch :
     whenever the catalog or the base database changes, so repeated plans
     over a stable catalog share join evaluations.  [None] when the query
     has no rewriting.
+
+    Like {!rewrite}, planning runs on the query's canonical form and
+    the chosen rewriting and join order are renamed back into the
+    caller's variables, so a request that only renames variables or
+    reorders subgoals is planned from the memo alone, at the same cost.
+    An uncanonicalizable query is planned as written.
 
     [cost_mode] (default [Exact]) selects how candidates are costed;
     [Estimated] plans from the load-time statistics alone, reusing a

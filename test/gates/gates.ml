@@ -1,9 +1,10 @@
 (* Data-scale correctness gates: plan selection against a frozen
    reference fold, the hash-join engine against the backtracking and
-   indexed evaluators, and the acyclic fast paths against the general
-   ones.  Each gate runs fixed seeds and sizes, prints one PASS/FAIL
-   line per row and takes no timings.  The rows take about a minute on
-   two cores, too slow for [dune runtest], so they run as
+   indexed evaluators, service planning under variable renaming, and
+   the acyclic fast paths against the general ones.  Each gate runs
+   fixed seeds and sizes, prints one PASS/FAIL line per row and takes
+   no timings.  The rows take about a minute and a half on two cores,
+   too slow for [dune runtest], so they run as
 
      dune build @gates
 
@@ -204,6 +205,71 @@ let joins () =
     [ 10_000; 100_000 ]
 
 (* ------------------------------------------------------------------ *)
+(* plan: exact planning through one Service, under renaming.           *)
+
+(* A three-relation chain at the joins sizes, over one-relation views
+   and two-relation views that export their join variable, planned and
+   analyzed through one service; then three renamed, body-permuted
+   variants.  Every cost and answer count must equal the original's
+   (answers also the engine's on the base data), and the variants must
+   be served by the warm subplan memo alone: no new misses. *)
+let plan () =
+  let query = Parser.parse_rule_exn "q(X0, X3) :- r0(X0, X1), r1(X1, X2), r2(X2, X3)." in
+  let variants =
+    List.map Parser.parse_rule_exn
+      [
+        "q(A, D) :- r2(C, D), r0(A, B), r1(B, C).";
+        "q(U0, U3) :- r1(U1, U2), r2(U2, U3), r0(U0, U1).";
+        "q(X3, X0) :- r2(X1, X0), r1(X2, X1), r0(X3, X2).";
+      ]
+  in
+  let views =
+    List.map Parser.parse_rule_exn
+      [
+        "p0_1(Y0, Y1) :- r0(Y0, Y1).";
+        "p1_1(Y0, Y1) :- r1(Y0, Y1).";
+        "p2_1(Y0, Y1) :- r2(Y0, Y1).";
+        "p0_2(Y0, Y1, Y2) :- r0(Y0, Y1), r1(Y1, Y2).";
+        "p1_2(Y0, Y1, Y2) :- r1(Y0, Y1), r2(Y1, Y2).";
+      ]
+  in
+  List.iter
+    (fun n ->
+      (* sparse keys (domain = 4x rows) keep the two-relation views near
+         the base relations' size *)
+      let db =
+        Datagen.random_dist (Prng.create (67 + n))
+          (List.init 3 (fun i ->
+               ( { Datagen.predicate = "r" ^ string_of_int i; arity = 2; tuples = n; domain = 4 * n },
+                 if i = 2 then [ Datagen.Uniform; Datagen.Zipf 0.9 ] else [] )))
+      in
+      let want = Relation.cardinality (Exec.answers (Interned.of_database db) query) in
+      let s = Service.create (Catalog.create_exn views) in
+      Service.set_base s db;
+      let served q =
+        match (Service.plan s q, Service.analyze s q) with
+        | Some p, Some a ->
+            Some (p.Service.plan_cost, a.Service.an_cost, a.Service.an_answers)
+        | _ -> None
+      in
+      let misses () =
+        match Service.subplan_counters s with Some c -> c.Subplan.misses | None -> -1
+      in
+      let first = served query in
+      let before = misses () in
+      let rest = List.map served variants in
+      let equal =
+        match first with
+        | Some (c, c', answers) ->
+            c = c' && answers = want && List.for_all (( = ) first) rest
+        | None -> false
+      in
+      row "plan"
+        (Printf.sprintf "renamed rows=%d answers=%d" n want)
+        [ ("plan_renamed_equal", equal); ("memo_hits", before >= 0 && misses () = before) ])
+    [ 10_000; 100_000 ]
+
+(* ------------------------------------------------------------------ *)
 (* acyclic: join-tree containment DP and Yannakakis execution.         *)
 
 (* Target for the containment check: a branching "ladder" of depth d
@@ -326,5 +392,6 @@ let acyclic () =
 let () =
   optimize ();
   joins ();
+  plan ();
   acyclic ();
   if !failed then exit 1

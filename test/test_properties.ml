@@ -191,6 +191,28 @@ let m2_memo_pruned_exact =
          | None -> false)
       && M2.optimal_pruned ~memo ~bound:ex db body = None)
 
+(* The memo's cells-only namespace never leaks into its entries: a
+   body's full atom set is counted rather than materialized, so a longer
+   body that needs it as an interior state must still join it, and an
+   order's memoized cost must not answer for a set's terminal cells.
+   Costing the body's own order and then planning every prefix of it
+   through one memo leaves both the order's cost and the optimum
+   unchanged. *)
+let m2_memo_cells_namespace =
+  let gen = Gen.pair (gen_query_with ~pred:"q" ~max_atoms:4) gen_database in
+  make_test ~count:150 ~name:"M2 memo: counted cells are never extended" gen
+    (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
+    (fun (q, db) ->
+      let body = (Query.dedup_body q).Query.body in
+      let memo = Subplan.create () in
+      let order_cost = M2.cost_of_order ~memo db body in
+      List.iteri
+        (fun i _ -> ignore (M2.optimal ~memo db (List.filteri (fun j _ -> j <= i) body)))
+        body;
+      order_cost = M2.cost_of_order db body
+      && M2.cost_of_order ~memo db body = order_cost
+      && snd (M2.optimal ~memo db body) = snd (M2.optimal_exhaustive db body))
+
 (* The connected DP is exact for its search space: it returns the minimum
    over exactly the connected-prefix orderings (so whenever some optimal
    ordering is connected — the common case on connected join graphs — it
@@ -682,6 +704,77 @@ let corecover_budget_anytime =
               List.equal Query.equal reference r.Corecover.rewritings
           | Corecover.Truncated e -> Vplan_error.is_resource e)
 
+(* Planning is invariant under variable renaming and body order: a
+   random isomorphic variant gets the same cost and the same answer
+   count, in both cost modes — whether the service is cold or has
+   already planned and analyzed unrelated queries into its memo.  Next
+   to the random views, each query atom and the first two together are
+   views exporting every variable, so every query has rewritings, most
+   of them several. *)
+let plan_isomorphic_variant =
+  let covering_views (q : Query.t) =
+    let export name body =
+      let vars = List.concat_map Atom.vars body |> List.sort_uniq String.compare in
+      Query.make_exn (Atom.make name (List.map (fun x -> Term.Var x) vars)) body
+    in
+    let singles = List.mapi (fun i a -> export ("w" ^ string_of_int i) [ a ]) q.Query.body in
+    match q.Query.body with
+    | a :: b :: _ -> export "wp" [ a; b ] :: singles
+    | _ -> singles
+  in
+  let variant (q : Query.t) =
+    let open Gen in
+    let vars = Query.vars q in
+    let* names = shuffle_l (List.mapi (fun i _ -> "Y" ^ string_of_int i) vars) in
+    let sigma = Subst.of_list (List.map2 (fun x y -> (x, Term.Var y)) vars names) in
+    let r = Query.apply sigma q in
+    let* body = shuffle_l r.Query.body in
+    return (Query.make_exn r.Query.head body)
+  in
+  let gen =
+    let open Gen in
+    let* query = gen_query in
+    let* views = gen_views ~max_views:2 ~max_atoms:2 in
+    let views = views @ covering_views query in
+    let* db = gen_database in
+    let* renamed = variant query in
+    let* unrelated = list_size (int_range 0 3) gen_query in
+    return (query, views, db, renamed, unrelated)
+  in
+  make_test ~count:100 ~name:"plan/analyze invariant under isomorphism" gen
+    (fun (query, views, db, renamed, unrelated) ->
+      print_with_db (query, views, db)
+      ^ " || variant " ^ print_query renamed ^ " || warmed by "
+      ^ String.concat " | " (List.map print_query unrelated))
+    (fun (query, views, db, renamed, unrelated) ->
+      let service () =
+        let s = Service.create (Catalog.create_exn views) in
+        Service.set_base s db;
+        s
+      in
+      let cold = service () and warm = service () in
+      List.iter
+        (fun cost_mode ->
+          List.iter
+            (fun u ->
+              ignore (Service.plan ~cost_mode warm u);
+              ignore (Service.analyze ~cost_mode warm u))
+            unrelated)
+        [ Service.Exact; Service.Estimated ];
+      List.for_all
+        (fun cost_mode ->
+          let cost s q =
+            Option.map (fun o -> o.Service.plan_cost) (Service.plan ~cost_mode s q)
+          in
+          let analyzed s q =
+            Option.map
+              (fun a -> (a.Service.an_cost, a.Service.an_answers))
+              (Service.analyze ~cost_mode s q)
+          in
+          cost cold query = cost warm renamed
+          && analyzed cold query = analyzed warm renamed)
+        [ Service.Exact; Service.Estimated ])
+
 let suite =
   [
     parser_roundtrip;
@@ -700,6 +793,7 @@ let suite =
     bucket_agrees;
     m2_dp_exact;
     m2_memo_pruned_exact;
+    m2_memo_cells_namespace;
     m2_connected_exact;
     best_m2_parallel_deterministic;
     m3_correct_and_dominant;
@@ -718,4 +812,5 @@ let suite =
     set_cover_props;
     corecover_configs_agree;
     corecover_budget_anytime;
+    plan_isomorphic_variant;
   ]

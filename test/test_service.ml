@@ -288,6 +288,73 @@ let service_hit_vs_fresh_qcheck =
       && same_up_to_iso o2.Service.rewritings fresh.Corecover.rewritings)
 
 (* ------------------------------------------------------------------ *)
+(* Planning in canonical variables                                     *)
+
+(* A three-relation chain with one- and two-relation views: the
+   candidates share atom sets, and the chosen plan joins two views. *)
+let chain_views =
+  qs
+    [
+      "va(A, B) :- a(A, B).";
+      "vb(A, B) :- b(A, B).";
+      "vc(A, B) :- c(A, B).";
+      "vab(A, B, C) :- a(A, B), b(B, C).";
+      "vbc(A, B, C) :- b(A, B), c(B, C).";
+    ]
+
+let chain_base =
+  let pairs p l = List.map (fun (x, y) -> (p, [ Term.Int x; Term.Int y ])) l in
+  Database.of_facts
+    (pairs "a" [ (1, 2); (2, 3); (3, 3); (1, 3); (4, 2) ]
+    @ pairs "b" [ (2, 5); (3, 5); (3, 6); (7, 8) ]
+    @ pairs "c" [ (5, 7); (6, 8); (6, 9); (9, 9) ])
+
+(* A renamed, body-permuted variant of a planned query is planned from
+   the subplan memo alone: it adds no memo miss, costs the same, and gets
+   the same rewriting and join order in its own variables. *)
+let plan_renamed_variant_is_memo_hit () =
+  let s = Service.create (Catalog.create_exn chain_views) in
+  Service.set_base s chain_base;
+  let query = q "q(X, W) :- a(X, Y), b(Y, Z), c(Z, W)." in
+  let variant = q "q(P, R) :- c(T, R), a(P, S), b(S, T)." in
+  let sigma =
+    Subst.of_list
+      [ ("X", Term.Var "P"); ("Y", Term.Var "S"); ("Z", Term.Var "T"); ("W", Term.Var "R") ]
+  in
+  let plan query =
+    match Service.plan s query with
+    | Some o -> o
+    | None -> Alcotest.fail "no plan"
+  in
+  let misses () =
+    match Service.subplan_counters s with
+    | Some c -> c.Subplan.misses
+    | None -> Alcotest.fail "no plan context"
+  in
+  let first = plan query in
+  check_bool "the plan joins views" true
+    (List.length first.Service.plan_order >= 2);
+  let before = misses () in
+  let second = plan variant in
+  check_int "no new memo misses" before (misses ());
+  check_bool "same cost" true (first.Service.plan_cost = second.Service.plan_cost);
+  check_query "rewriting in the variant's variables"
+    (Query.apply sigma first.Service.plan_rewriting)
+    second.Service.plan_rewriting;
+  check_bool "order in the variant's variables" true
+    (List.equal Atom.equal
+       (List.map (Atom.apply sigma) first.Service.plan_order)
+       second.Service.plan_order);
+  let answers query =
+    match Service.analyze s query with
+    | Some a -> a.Service.an_answers
+    | None -> Alcotest.fail "no analyze"
+  in
+  let want = Relation.cardinality (Eval.answers chain_base query) in
+  check_int "analyze answers" want (answers query);
+  check_int "analyze of the variant answers the same" want (answers variant)
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent dispatch                                                 *)
 
 let stress_concurrent_vs_sequential () =
@@ -351,6 +418,8 @@ let suite =
     Alcotest.test_case "service: stats survive catalog swap" `Quick
       service_stats_survive_catalog_swap;
     service_hit_vs_fresh_qcheck;
+    Alcotest.test_case "plan: renamed variant is a memo hit" `Quick
+      plan_renamed_variant_is_memo_hit;
     Alcotest.test_case "service: concurrent = sequential" `Quick
       stress_concurrent_vs_sequential;
   ]
