@@ -174,65 +174,46 @@ let plan_cmd =
    or_die @@ fun () ->
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
+    let cost_model =
+      match (cost, cost_mode) with
+      | (`M1 | `M3 | `M3s), `Estimated ->
+          Format.eprintf "error: --cost-mode estimated supports --cost m2 only@.";
+          exit 2
+      | `M2, `Estimated -> `M2_estimated
+      | `M1, `Exact -> `M1
+      | `M2, `Exact -> `M2
+      | `M3, `Exact -> `M3 `Heuristic
+      | `M3s, `Exact -> `M3 `Supplementary
+    in
     let base = database_of_file data in
     let budget = budget_of ~timeout ~max_steps in
-    let t = Vplan.Optimizer.create ~query ~views ~base in
-    (match (cost, cost_mode) with
-    | (`M1 | `M3 | `M3s), `Estimated ->
-        Format.eprintf "error: --cost-mode estimated supports --cost m2 only@.";
-        exit 2
-    | `M2, `Estimated -> (
-        (* statistics-only selection: join selectivities derived from the
-           base-table catalog, views never materialized for costing; the
-           realized cost of the chosen order is printed for comparison *)
-        let stats = Vplan.Stats.collect base in
-        let est = Vplan.Estimate.view_stats (Vplan.Estimate.of_stats stats) views in
-        match
-          Vplan.Select.best_m2_estimated ?budget est (Vplan.Optimizer.candidates t)
-        with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.est_rewriting;
-            Format.printf "join order:";
-            List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.est_order;
-            Format.printf "@.cost (M2, estimated): %.1f@." c.est_cost;
-            Format.printf "cost (M2, realized): %d@."
-              (Vplan.M2.cost_of_order (Vplan.Optimizer.view_database t) c.est_order);
-            if explain then
-              Vplan.Explain.m2 Format.std_formatter
-                (Vplan.Optimizer.view_database t) c.est_order)
-    | cost, `Exact ->
-    match cost with
-    | `M1 -> (
-        match Vplan.Optimizer.best_m1 t with
-        | None -> Format.printf "no rewriting@."
-        | Some p ->
-            Format.printf "rewriting: %a@.cost (subgoals): %d@." Vplan.Query.pp p
-              (Vplan.M1.cost p))
-    | `M2 -> (
-        match Vplan.Optimizer.best_m2 ?budget ~domains t with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.m2_rewriting;
-            Format.printf "join order:";
-            List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.m2_order;
-            Format.printf "@.cost (M2): %d@." c.m2_cost;
-            if explain then
-              Vplan.Explain.m2 Format.std_formatter (Vplan.Optimizer.view_database t)
-                c.m2_order)
-    | (`M3 | `M3s) as strategy -> (
-        let strategy = if strategy = `M3 then `Heuristic else `Supplementary in
-        match Vplan.Optimizer.best_m3 ~strategy ?budget ~domains t with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.m3_rewriting;
-            Format.printf "plan: %a@." Vplan.M3.pp_plan c.m3_plan;
-            Format.printf "cost (M3): %d@." c.m3_cost;
-            if explain then
-              Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.view_database t)
-                c.m3_plan));
-    let truth = Vplan.Optimizer.answer t in
-    Format.printf "query answer size: %d@." (Vplan.Relation.cardinality truth)
+    let t = Vplan.Planner.create { Vplan.Planner.query; views } ~base in
+    let view_db = Vplan.Planner.view_database t in
+    let pp_order ppf = List.iter (Format.fprintf ppf " %a" Vplan.Atom.pp) in
+    (match Vplan.Planner.plan ?budget ~domains ~cost_model t with
+    | None -> Format.printf "no rewriting@."
+    | Some (Logical p) ->
+        Format.printf "rewriting: %a@.cost (subgoals): %d@." Vplan.Query.pp p
+          (Vplan.M1.cost p)
+    | Some (Ordered { rewriting; order; cost }) ->
+        Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
+        Format.printf "join order:%a@.cost (M2): %d@." pp_order order cost;
+        if explain then Vplan.Explain.m2 Format.std_formatter view_db order
+    | Some (Estimated { rewriting; order; est_cost }) ->
+        (* ranked from base-table statistics; the realized cost of the
+           chosen order is printed for comparison *)
+        Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
+        Format.printf "join order:%a@.cost (M2, estimated): %.1f@." pp_order order
+          est_cost;
+        Format.printf "cost (M2, realized): %d@." (Vplan.M2.cost_of_order view_db order);
+        if explain then Vplan.Explain.m2 Format.std_formatter view_db order
+    | Some (Annotated { rewriting; plan; cost }) ->
+        Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
+        Format.printf "plan: %a@." Vplan.M3.pp_plan plan;
+        Format.printf "cost (M3): %d@." cost;
+        if explain then Vplan.Explain.m3 Format.std_formatter view_db plan);
+    Format.printf "query answer size: %d@."
+      (Vplan.Relation.cardinality (Vplan.Eval.answers base query))
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Pick a cost-optimal rewriting and physical plan over a concrete database.")
@@ -248,8 +229,10 @@ let explain_cmd =
     Arg.(value & opt (some file) None
          & info [ "data" ] ~docv:"DATA"
              ~doc:"Ground facts for the base relations; when given, the \
-                   trace also covers view materialization and plan \
-                   selection.")
+                   request is the plan selection of $(b,plan --cost m2) \
+                   and the trace covers view materialization, CoreCover* \
+                   and plan selection.  As in $(b,plan), budgets bound \
+                   plan selection only.")
   in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
@@ -321,24 +304,14 @@ let explain_cmd =
           (* the same pipeline [plan --cost m2] runs, with each stage under
              the tracer: materialize, CoreCover*, branch-and-bound *)
           let base = database_of_file data in
-          let choice, spans =
+          let plan, spans =
             Vplan.Trace.run (fun () ->
-                let view_db =
-                  Vplan.Obs.phase "materialize" (fun () ->
-                      Vplan.Materialize.views base views)
-                in
-                let r =
-                  Vplan.Corecover.all_minimal ?budget ?max_results:max_covers
-                    ~domains ~query ~views ()
-                in
-                let memo = Vplan.Subplan.create () in
-                Vplan.Select.best_m2 ~memo ?budget ~domains
-                  ~filters:r.Vplan.Corecover.filters view_db
-                  r.Vplan.Corecover.rewritings)
+                Vplan.Planner.plan ?budget ~domains ~cost_model:`M2
+                  (Vplan.Planner.create { Vplan.Planner.query; views } ~base))
           in
-          ( (match choice with
-            | Some c -> Printf.sprintf "plan cost=%d" c.Vplan.Select.m2_cost
-            | None -> "plan none"),
+          ( (match plan with
+            | Some (Vplan.Planner.Ordered { cost; _ }) -> Printf.sprintf "plan cost=%d" cost
+            | _ -> "plan none"),
             spans,
             None )
     in
@@ -445,7 +418,9 @@ let certain_cmd =
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
     let base = database_of_file data in
-    let view_db = Vplan.Materialize.views base views in
+    let view_db =
+      Vplan.Planner.(view_database (create { query; views } ~base))
+    in
     (match algorithm with
     | `Minicon -> (
         match Vplan.Minicon.maximally_contained ~query ~views () with

@@ -57,15 +57,14 @@ let () =
      the generator+optimizer pipeline would miss P1's cheaper plan (best
      supplementary cost 25 below), and the renaming heuristic recovers it
      (cost 18) without leaving the view-tuple space. *)
-  let t = Optimizer.create ~query ~views ~base in
+  let t = Planner.create { Planner.query; views } ~base in
   (match
-     ( Optimizer.best_m3 ~strategy:`Supplementary t,
-       Optimizer.best_m3 ~strategy:`Heuristic t )
+     ( Planner.plan ~cost_model:(`M3 `Supplementary) t,
+       Planner.plan ~cost_model:(`M3 `Heuristic) t )
    with
-  | Some s, Some h ->
-      Format.printf "@.best supplementary plan: cost %d for %a@." s.m3_cost Query.pp
-        s.m3_rewriting;
-      Format.printf "best heuristic plan:     cost %d for %a@." h.m3_cost Query.pp
-        h.m3_rewriting
+  | ( Some (Planner.Annotated { rewriting = s; cost = s_cost; _ }),
+      Some (Planner.Annotated { rewriting = h; cost = h_cost; _ }) ) ->
+      Format.printf "@.best supplementary plan: cost %d for %a@." s_cost Query.pp s;
+      Format.printf "best heuristic plan:     cost %d for %a@." h_cost Query.pp h
   | _ -> Format.printf "no rewriting@.");
   Format.printf "@.true answer: %a@." Relation.pp (Eval.answers base query)

@@ -63,26 +63,26 @@ let () =
   Format.printf "minimal rewritings over the sources:@.";
   List.iter (fun p -> Format.printf "  %a@." Query.pp p) r.rewritings;
 
-  let t = Optimizer.create ~query ~views:sources ~base in
-  (match Optimizer.best_m1 t with
-  | Some p -> Format.printf "@.fewest-joins rewriting (M1): %a@." Query.pp p
-  | None -> Format.printf "@.no rewriting@.");
-  (match Optimizer.best_m2 t with
-  | Some c ->
-      Format.printf "M2-optimal rewriting: %a@." Query.pp c.m2_rewriting;
+  let t = Planner.create { Planner.query; views = sources } ~base in
+  (match Planner.plan ~cost_model:`M1 t with
+  | Some (Planner.Logical p) ->
+      Format.printf "@.fewest-joins rewriting (M1): %a@." Query.pp p
+  | _ -> Format.printf "@.no rewriting@.");
+  let m2 = Planner.plan ~cost_model:`M2 t in
+  (match m2 with
+  | Some (Planner.Ordered { rewriting; order; cost }) ->
+      Format.printf "M2-optimal rewriting: %a@." Query.pp rewriting;
       Format.printf "  join order:";
-      List.iter (fun a -> Format.printf " %a" Atom.pp a) c.m2_order;
-      Format.printf "@.  cost: %d cells@." c.m2_cost
-  | None -> ());
+      List.iter (fun a -> Format.printf " %a" Atom.pp a) order;
+      Format.printf "@.  cost: %d cells@." cost
+  | _ -> ());
 
   (* soundness: execute over the materialized sources *)
-  let truth = Optimizer.answer t in
+  let truth = Eval.answers base query in
   Format.printf "@.query answer: %d tuples@." (Relation.cardinality truth);
-  match Optimizer.best_m2 t with
-  | Some c ->
-      let via_sources =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
-      in
+  match m2 with
+  | Some plan ->
+      let via_sources = Planner.execute t plan in
       Format.printf "via sources:  %d tuples (%s)@."
         (Relation.cardinality via_sources)
         (if Relation.equal truth via_sources then "identical" else "MISMATCH")

@@ -50,17 +50,17 @@ let () =
     | Ok facts -> Database.of_facts facts
     | Error e -> failwith (Vplan_error.parse_to_string e)
   in
-  let t = Optimizer.create ~query ~views ~base in
-  (match Optimizer.best_m2 t with
-  | Some choice ->
-      Format.printf "@.M2-optimal rewriting: %a@." Query.pp choice.m2_rewriting;
+  let t = Planner.create { Planner.query; views } ~base in
+  (match Planner.plan ~cost_model:`M2 t with
+  | Some (Planner.Ordered { rewriting; order; cost }) ->
+      Format.printf "@.M2-optimal rewriting: %a@." Query.pp rewriting;
       Format.printf "Join order:";
-      List.iter (fun a -> Format.printf " %a" Atom.pp a) choice.m2_order;
-      Format.printf "@.M2 cost: %d cells@." choice.m2_cost
-  | None -> Format.printf "no rewriting@.");
+      List.iter (fun a -> Format.printf " %a" Atom.pp a) order;
+      Format.printf "@.M2 cost: %d cells@." cost
+  | _ -> Format.printf "no rewriting@.");
 
   (* 5. Verify the closed-world guarantee: the rewriting computes exactly
         the query's answer over the materialized views. *)
-  let truth = Optimizer.answer t in
+  let truth = Eval.answers base query in
   Format.printf "@.Query answer (%d tuples): %a@." (Relation.cardinality truth)
     Relation.pp truth

@@ -74,24 +74,32 @@ let () =
   List.iter (fun tv -> Format.printf " %a" View_tuple.pp tv) r.filters;
   Format.printf "@.";
 
-  let t = Optimizer.create ~query ~views ~base in
-  (match Optimizer.best_m1 t with
-  | Some p -> Format.printf "@.M1 (fewest joins): %a@." Query.pp p
+  let t = Planner.create { Planner.query; views } ~base in
+  (match Planner.plan ~cost_model:`M1 t with
+  | Some (Planner.Logical p) -> Format.printf "@.M1 (fewest joins): %a@." Query.pp p
+  | _ -> ());
+  (* the bare M2 optimum, by DP over each candidate's own subgoals: the
+     cheapest candidate, earliest on ties *)
+  let view_db = Planner.view_database t in
+  (match
+     List.fold_left
+       (fun best (p : Query.t) ->
+         let cost = snd (M2.optimal view_db p.body) in
+         match best with Some (c, _) when c <= cost -> best | _ -> Some (cost, p))
+       None r.rewritings
+   with
+  | Some (cost, p) -> Format.printf "M2 without filters: cost %d for %a@." cost Query.pp p
   | None -> ());
-  (match Optimizer.best_m2 ~with_filters:false t with
-  | Some c -> Format.printf "M2 without filters: cost %d for %a@." c.m2_cost Query.pp c.m2_rewriting
-  | None -> ());
-  (match Optimizer.best_m2 ~with_filters:true t with
-  | Some c ->
-      Format.printf "M2 with filters:    cost %d for %a@." c.m2_cost Query.pp c.m2_rewriting;
-      let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
-      in
+  (match Planner.plan ~cost_model:`M2 t with
+  | Some (Planner.Ordered { rewriting; cost; _ } as plan) ->
+      Format.printf "M2 with filters:    cost %d for %a@." cost Query.pp rewriting;
+      let result = Planner.execute t plan in
       Format.printf "@.answer: %d tuples (%s)@."
         (Relation.cardinality result)
-        (if Relation.equal result (Optimizer.answer t) then "matches the query" else "MISMATCH")
-  | None -> ());
-  match Optimizer.best_m3 ~strategy:`Heuristic t with
-  | Some c ->
-      Format.printf "M3 heuristic:       cost %d, plan %a@." c.m3_cost M3.pp_plan c.m3_plan
-  | None -> ()
+        (if Relation.equal result (Eval.answers base query) then "matches the query"
+         else "MISMATCH")
+  | _ -> ());
+  match Planner.plan ~cost_model:(`M3 `Heuristic) t with
+  | Some (Planner.Annotated { plan; cost; _ }) ->
+      Format.printf "M3 heuristic:       cost %d, plan %a@." cost M3.pp_plan plan
+  | _ -> ()

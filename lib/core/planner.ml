@@ -48,6 +48,23 @@ let analyze problem =
     maximally_contained;
   }
 
+type t = {
+  problem : problem;
+  base : Database.t;
+  view_db : Database.t;
+  corecover : Corecover.result Lazy.t;
+  memo : Subplan.t;
+}
+
+let create problem ~base =
+  let view_db =
+    Vplan_obs.Obs.phase "materialize" (fun () -> Materialize.views base problem.views)
+  in
+  let corecover = lazy (Corecover.all_minimal ~query:problem.query ~views:problem.views ()) in
+  { problem; base; view_db; corecover; memo = Subplan.create () }
+
+let view_database t = t.view_db
+
 type plan =
   | Logical of Query.t
   | Ordered of {
@@ -55,42 +72,62 @@ type plan =
       order : Atom.t list;
       cost : int;
     }
+  | Estimated of {
+      rewriting : Query.t;
+      order : Atom.t list;
+      est_cost : float;
+    }
   | Annotated of {
       rewriting : Query.t;
       plan : M3.plan;
       cost : int;
     }
 
-type cost_model = [ `M1 | `M2 | `M3 of [ `Supplementary | `Heuristic ] ]
+type cost_model =
+  [ `M1 | `M2 | `M2_estimated | `M3 of [ `Supplementary | `Heuristic ] ]
 
-let plan ~cost_model problem ~base =
-  let t = Optimizer.create ~query:problem.query ~views:problem.views ~base in
+let plan ?budget ?domains ~cost_model t =
+  let corecover = Lazy.force t.corecover in
+  let candidates = corecover.Corecover.rewritings in
   match cost_model with
-  | `M1 -> Option.map (fun p -> Logical p) (Optimizer.best_m1 t)
+  | `M1 -> ( match M1.best candidates with [] -> None | p :: _ -> Some (Logical p))
   | `M2 ->
       Option.map
-        (fun (c : Optimizer.m2_choice) ->
+        (fun (c : Select.m2_choice) ->
           Ordered { rewriting = c.m2_rewriting; order = c.m2_order; cost = c.m2_cost })
-        (Optimizer.best_m2 t)
-  | `M3 strategy ->
+        (Select.best_m2 ~memo:t.memo ?budget ?domains
+           ~filters:corecover.Corecover.filters t.view_db candidates)
+  | `M2_estimated ->
+      let est =
+        Estimate.view_stats (Estimate.of_stats (Vplan_stats.Stats.collect t.base))
+          t.problem.views
+      in
       Option.map
-        (fun (c : Optimizer.m3_choice) ->
+        (fun (c : Select.m2_est_choice) ->
+          Estimated { rewriting = c.est_rewriting; order = c.est_order; est_cost = c.est_cost })
+        (Select.best_m2_estimated ?budget est candidates)
+  | `M3 strategy ->
+      let { query; views } = t.problem in
+      let annotate (p : Query.t) order =
+        match strategy with
+        | `Supplementary -> M3.supplementary ~head:p.head order
+        | `Heuristic -> M3.heuristic ~views ~query ~head:p.head order
+      in
+      Option.map
+        (fun (c : Select.m3_choice) ->
           Annotated { rewriting = c.m3_rewriting; plan = c.m3_plan; cost = c.m3_cost })
-        (Optimizer.best_m3 ~strategy t)
+        (Select.best_m3 ?budget ?domains ~annotate t.view_db candidates)
 
-let execute problem ~base p =
-  let view_db = Materialize.views base problem.views in
-  match p with
-  | Logical rewriting | Ordered { rewriting; _ } ->
-      Materialize.answers_via_rewriting view_db rewriting
-  | Annotated { rewriting; plan; _ } -> M3.answers view_db ~head:rewriting.Query.head plan
+let execute t = function
+  | Logical rewriting | Ordered { rewriting; _ } | Estimated { rewriting; _ } ->
+      Materialize.answers_via_rewriting t.view_db rewriting
+  | Annotated { rewriting; plan; _ } -> M3.answers t.view_db ~head:rewriting.Query.head plan
 
 let answer_via_views ~cost_model problem ~base =
-  match plan ~cost_model problem ~base with
-  | Some p -> `Equivalent (p, execute problem ~base p)
+  let t = create problem ~base in
+  match plan ~cost_model t with
+  | Some p -> `Equivalent (p, execute t p)
   | None -> (
       match Minicon.maximally_contained ~query:problem.query ~views:problem.views () with
       | None -> `No_rewriting
-      | Some union ->
-          let view_db = Materialize.views base problem.views in
-          `Fallback_certain (Eval.answers_ucq view_db union))
+      | Some union -> `Fallback_certain (Eval.answers_ucq t.view_db union))

@@ -1,8 +1,15 @@
 (** High-level planning facade: parse → rewrite → optimize → execute.
 
-    This is the "downstream user" entry point combining the rewriting
-    generator (CoreCover), the cost-based optimizer and the relational
-    engine, mirroring the paper's two-step architecture end to end. *)
+    This is the one-shot entry point combining the rewriting generator
+    (CoreCover), the cost-based optimizer ({!Vplan_cost.Select}) and the
+    relational engine, mirroring the paper's two-step architecture end
+    to end.  Resident callers plan through {!Vplan_service.Service},
+    which adds a cross-request memo and canonical planning over the
+    same {!Vplan_cost.Select} engine.
+
+    Plans are costed against the materialized view relations (the
+    closed-world model), which is faithful to M2/M3's definitions on
+    concrete instances. *)
 
 open Vplan_cq
 open Vplan_views
@@ -35,26 +42,52 @@ type analysis = {
     (the open-world answer). *)
 val analyze : problem -> analysis
 
+(** A planning context for one (problem, base) pair: the materialized
+    view database, one CoreCover{^ *} run (candidate rewritings and
+    filter tuples) and a subplan memo shared by every {!plan} call on
+    it. *)
+type t
+
+(** [create problem ~base] materializes the views over [base].
+    CoreCover{^ *} runs once, on the first {!plan}. *)
+val create : problem -> base:Database.t -> t
+
+(** The materialized view relations every plan is costed and executed
+    against. *)
+val view_database : t -> Database.t
+
 type plan =
   | Logical of Query.t  (** M1: no physical detail *)
-  | Ordered of { rewriting : Query.t; order : Atom.t list; cost : int }  (** M2 *)
+  | Ordered of { rewriting : Query.t; order : Atom.t list; cost : int }
+      (** M2, costed exactly; [rewriting] has filters appended if any *)
+  | Estimated of { rewriting : Query.t; order : Atom.t list; est_cost : float }
+      (** M2, costed from base-table statistics alone *)
   | Annotated of { rewriting : Query.t; plan : Vplan_cost.M3.plan; cost : int }  (** M3 *)
 
+(** [`M2_estimated] ranks candidates by the M2 cost estimated from
+    statistics of the base relations; no view is materialized for
+    costing, though {!execute} still runs over the context's views. *)
 type cost_model =
-  [ `M1 | `M2 | `M3 of [ `Supplementary | `Heuristic ] ]
+  [ `M1 | `M2 | `M2_estimated | `M3 of [ `Supplementary | `Heuristic ] ]
 
-(** [plan ~cost_model problem ~base] picks the optimal rewriting + plan
-    over the materialized views of [base]. *)
-val plan : cost_model:cost_model -> problem -> base:Database.t -> plan option
+(** [plan ~cost_model t] picks the optimal rewriting and plan.  [domains]
+    scores candidates in parallel (identical result); [budget] bounds the
+    selection.  [None] when the query has no equivalent rewriting. *)
+val plan :
+  ?budget:Vplan_core.Budget.t ->
+  ?domains:int ->
+  cost_model:cost_model ->
+  t ->
+  plan option
 
-(** [execute problem ~base p] runs a plan against the materialized views
+(** [execute t p] runs a plan against the context's materialized views
     and returns the answer relation. *)
-val execute : problem -> base:Database.t -> plan -> Relation.t
+val execute : t -> plan -> Relation.t
 
 (** [answer_via_views ~cost_model problem ~base] — the full pipeline:
-    plan, execute and sanity-check against the direct evaluation of the
-    query ([`Fallback_certain] when only the open-world union is
-    available).  This is the one-call API. *)
+    plan and execute, falling back to the certain answers of MiniCon's
+    maximally-contained union ([`Fallback_certain]) when no equivalent
+    rewriting exists.  This is the one-call API. *)
 val answer_via_views :
   cost_model:cost_model ->
   problem ->

@@ -80,7 +80,7 @@ module Naive = Vplan_rewrite.Naive
 module Normalize = Vplan_rewrite.Normalize
 module View_selection = Vplan_rewrite.View_selection
 
-(* cost models and optimizer *)
+(* cost models and the plan-selection engine *)
 module Orderings = Vplan_cost.Orderings
 module Estimate = Vplan_cost.Estimate
 module M1 = Vplan_cost.M1
@@ -90,7 +90,6 @@ module Filter = Vplan_cost.Filter
 module Explain = Vplan_cost.Explain
 module Subplan = Vplan_cost.Subplan
 module Select = Vplan_cost.Select
-module Optimizer = Vplan_cost.Optimizer
 
 (* baselines *)
 module Bucket = Vplan_baselines.Bucket

@@ -11,12 +11,13 @@ type t =
   | Cancelled
   | Width_limit of { subgoals : int; max_subgoals : int }
   | Parse of parse_error
+  | No_base_database
 
 exception Error of t
 
 let is_resource = function
   | Timeout _ | Step_limit _ | Cover_limit _ | Cancelled -> true
-  | Width_limit _ | Parse _ -> false
+  | Width_limit _ | Parse _ | No_base_database -> false
 
 let parse_to_string e = Printf.sprintf "%d:%d: %s" e.line e.col e.msg
 
@@ -33,6 +34,7 @@ let to_string = function
       Printf.sprintf "query has %d subgoals after minimization; at most %d supported"
         subgoals max_subgoals
   | Parse e -> parse_to_string e
+  | No_base_database -> "no base database loaded (use: data load FILE)"
 
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 

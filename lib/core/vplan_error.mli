@@ -29,13 +29,17 @@ type t =
       (** the (minimized) query has more subgoals than fit in a
           native-int cover bitmask *)
   | Parse of parse_error  (** a syntax error in the Datalog surface syntax *)
+  | No_base_database
+      (** a request needs the base database (plan, analyze) and none has
+          been loaded *)
 
 exception Error of t
 
 (** [is_resource e] is [true] for the budget-style errors — [Timeout],
     [Step_limit], [Cover_limit] and [Cancelled] — after which an anytime
     caller may return a sound-but-incomplete result.  [Width_limit] and
-    [Parse] are input errors: retrying with a bigger budget cannot help. *)
+    [Parse] are input errors and [No_base_database] a missing
+    precondition: retrying with a bigger budget cannot help. *)
 val is_resource : t -> bool
 
 (** Render the error as one deterministic human-readable line (elapsed

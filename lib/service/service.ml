@@ -432,7 +432,7 @@ let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
   let cat, db, stats = locked t (fun () -> (t.cat, t.base, t.bstats)) in
   match db with
-  | None -> failwith "no base database loaded (use: data load FILE)"
+  | None -> raise Vplan_core.Vplan_error.(Error No_base_database)
   | Some db ->
       let r, choice =
         plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query
@@ -468,7 +468,7 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
   let cat, db, stats = locked t (fun () -> (t.cat, t.base, t.bstats)) in
   match db with
-  | None -> failwith "no base database loaded (use: data load FILE)"
+  | None -> raise Vplan_core.Vplan_error.(Error No_base_database)
   | Some db -> (
       let r, choice =
         plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query

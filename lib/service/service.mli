@@ -184,8 +184,8 @@ val rewrite_batch :
     cached estimation catalog the same way exact mode reuses its
     materialized views.
 
-    @raise Failure when no base database has been loaded
-    ({!set_base}). *)
+    @raise Vplan_core.Vplan_error.Error [No_base_database] when no base
+    database has been loaded ({!set_base}). *)
 val plan :
   ?budget:Vplan_core.Budget.t ->
   ?max_covers:int ->
@@ -219,7 +219,8 @@ type analyze_outcome = {
     q-error feeds the per-relation accuracy in {!stats} — the feedback
     loop that shows when statistics have drifted.  [None] when the
     query has no rewriting.
-    @raise Failure when no base database has been loaded. *)
+    @raise Vplan_core.Vplan_error.Error [No_base_database] when no base
+    database has been loaded. *)
 val analyze :
   ?budget:Vplan_core.Budget.t ->
   ?max_covers:int ->

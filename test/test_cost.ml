@@ -1,5 +1,5 @@
-(* Tests for the cost models M1, M2 (join-order DP, filters) and the
-   optimizer facade. *)
+(* Tests for the cost models M1, M2 (join-order DP, filters) and plan
+   selection through the planner facade. *)
 
 open Vplan
 open Helpers
@@ -184,54 +184,54 @@ let test_explain_renders () =
     in
     contains_sub m3_text "GSR")
 
-let test_optimizer_m1 () =
+let carloc_planner () =
   let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m1 t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some p -> check_int "GMR size" 1 (List.length p.Query.body)
+  Planner.create { Planner.query; views } ~base
+
+let test_optimizer_m1 () =
+  match Planner.plan ~cost_model:`M1 (carloc_planner ()) with
+  | Some (Planner.Logical p) -> check_int "GMR size" 1 (List.length p.Query.body)
+  | _ -> Alcotest.fail "expected a rewriting"
 
 let test_optimizer_m2_correct_answers () =
-  let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m2 t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some c ->
-      let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
-      in
-      Alcotest.check relation_testable "plan answer = query answer" (Optimizer.answer t) result
+  let t = carloc_planner () in
+  match Planner.plan ~cost_model:`M2 t with
+  | Some (Planner.Ordered _ as plan) ->
+      Alcotest.check relation_testable "plan answer = query answer"
+        (Eval.answers Car_loc_part.base Car_loc_part.query)
+        (Planner.execute t plan)
+  | _ -> Alcotest.fail "expected a rewriting"
 
 let test_optimizer_m2_cost_order () =
-  let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m2 ~with_filters:false t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some c ->
-      (* the chosen cost must equal the cost of the reported order *)
-      check_int "consistent" c.m2_cost
-        (M2.cost_of_order (Optimizer.view_database t) c.m2_order)
+  let t = carloc_planner () in
+  match Planner.plan ~cost_model:`M2 t with
+  | Some (Planner.Ordered { order; cost; _ }) ->
+      (* the chosen cost must equal the cost of the reported order,
+         filter subgoals included *)
+      check_int "consistent" cost (M2.cost_of_order (Planner.view_database t) order)
+  | _ -> Alcotest.fail "expected a rewriting"
 
 let test_optimizer_m2_estimated () =
-  let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match (Optimizer.best_m2 ~with_filters:false t, Optimizer.best_m2_estimated t) with
-  | Some true_best, Some est ->
+  let t = carloc_planner () in
+  match (Planner.plan ~cost_model:`M2 t, Planner.plan ~cost_model:`M2_estimated t) with
+  | Some (Planner.Ordered { cost; _ }), Some (Planner.Estimated { order; _ } as est) ->
       check_bool "estimated route never beats the true optimum" true
-        (est.m2_cost >= true_best.m2_cost);
+        (M2.cost_of_order (Planner.view_database t) order >= cost);
       (* and the chosen plan still computes the right answer *)
       Alcotest.check relation_testable "correct answers"
-        (Optimizer.answer t)
-        (Materialize.answers_via_rewriting (Optimizer.view_database t) est.m2_rewriting)
+        (Eval.answers Car_loc_part.base Car_loc_part.query)
+        (Planner.execute t est)
   | _ -> Alcotest.fail "expected plans"
 
 let test_optimizer_no_rewriting () =
   let query = q "q(X, Y) :- p(X, Y), r(Y, X)." in
   let views = qs [ "v(A, B) :- p(A, B)." ] in
   let base = Database.of_facts [ ("p", [ Term.Int 1; Term.Int 2 ]) ] in
-  let t = Optimizer.create ~query ~views ~base in
-  check_bool "m1 none" true (Optimizer.best_m1 t = None);
-  check_bool "m2 none" true (Optimizer.best_m2 t = None)
+  let t = Planner.create { Planner.query; views } ~base in
+  List.iter
+    (fun cost_model ->
+      check_bool "no plan" true (Planner.plan ~cost_model t = None))
+    [ `M1; `M2; `M2_estimated; `M3 `Heuristic ]
 
 let suite =
   [

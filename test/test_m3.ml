@@ -96,16 +96,16 @@ let test_m3_gsr_sizes () =
 
 let test_optimizer_m3 () =
   let open Example_6_1 in
-  let t = Optimizer.create ~query ~views ~base in
+  let t = Planner.create { Planner.query; views } ~base in
   match
-    ( Optimizer.best_m3 ~strategy:`Supplementary t,
-      Optimizer.best_m3 ~strategy:`Heuristic t )
+    ( Planner.plan ~cost_model:(`M3 `Supplementary) t,
+      Planner.plan ~cost_model:(`M3 `Heuristic) t )
   with
-  | Some s, Some h ->
-      check_bool "heuristic no worse" true (h.m3_cost <= s.m3_cost);
+  | ( Some (Planner.Annotated { cost = s_cost; _ }),
+      Some (Planner.Annotated { cost = h_cost; _ } as h) ) ->
+      check_bool "heuristic no worse" true (h_cost <= s_cost);
       Alcotest.check relation_testable "m3 plan computes the answer"
-        (Optimizer.answer t)
-        (M3.answers (Optimizer.view_database t) ~head:h.m3_rewriting.Query.head h.m3_plan)
+        (Eval.answers base query) (Planner.execute t h)
   | _ -> Alcotest.fail "expected plans"
 
 (* dropping on the car-loc-part instance as a second scenario *)

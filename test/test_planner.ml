@@ -47,14 +47,15 @@ let test_plan_all_models () =
   let p = problem () in
   let base = Car_loc_part.base in
   let truth = Eval.answers base p.Planner.query in
+  let t = Planner.create p ~base in
   List.iter
     (fun cost_model ->
-      match Planner.plan ~cost_model p ~base with
+      match Planner.plan ~cost_model t with
       | None -> Alcotest.fail "expected a plan"
       | Some plan ->
           Alcotest.check relation_testable "plan computes the answer" truth
-            (Planner.execute p ~base plan))
-    [ `M1; `M2; `M3 `Supplementary; `M3 `Heuristic ]
+            (Planner.execute t plan))
+    [ `M1; `M2; `M2_estimated; `M3 `Supplementary; `M3 `Heuristic ]
 
 let test_answer_via_views_equivalent () =
   let p = problem () in

@@ -18,6 +18,21 @@ let make_test ?(count = 250) ~name gen print prop =
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~count ~name ~print gen prop)
 
+(* Properties that draw instances with [Generator.generate_with_rewriting]
+   skip an instance the generator cannot produce.  The generator asks
+   CoreCover whether a rewriting exists, so a CoreCover bug that hides
+   rewritings would skip every instance and the property would pass.
+   [with_floor] fails the run when fewer than [floor] instances were
+   actually checked; the property increments [checked] per instance. *)
+let with_floor ~floor checked (name, speed, run) =
+  ( name,
+    speed,
+    fun () ->
+      checked := 0;
+      run ();
+      if !checked < floor then
+        Alcotest.failf "only %d instances checked, below the floor of %d" !checked floor )
+
 (* Containment is sound w.r.t. evaluation: Q1 ⊑ Q2 implies Q1(D) ⊆ Q2(D). *)
 let containment_sound =
   let gen = Gen.(triple gen_query gen_query gen_database) in
@@ -612,7 +627,11 @@ let set_cover_props =
    canonical database; signature-bucketed view classes equal the pairwise
    equivalence grouping; mask-bucketed tuple classes equal the pairwise
    [same_cover] grouping. *)
+let corecover_configs_checked = ref 0
+
 let corecover_configs_agree =
+  with_floor ~floor:25 corecover_configs_checked
+  @@
   let gen =
     Gen.(
       triple
@@ -629,6 +648,7 @@ let corecover_configs_agree =
       match Generator.generate_with_rewriting ~max_attempts:50 config with
       | exception Failure _ -> true
       | inst ->
+          incr corecover_configs_checked;
           let query = inst.Generator.query and views = inst.views in
           let rewritings r =
             List.sort Query.compare r.Corecover.rewritings
@@ -673,7 +693,11 @@ let corecover_configs_agree =
    run returns is a subset of the unbudgeted run's rewritings, and a run
    that was cut short is flagged as truncated (a complete one must return
    everything). *)
+let corecover_budget_checked = ref 0
+
 let corecover_budget_anytime =
+  with_floor ~floor:25 corecover_budget_checked
+  @@
   let gen =
     Gen.(
       triple
@@ -691,6 +715,7 @@ let corecover_budget_anytime =
       match Generator.generate_with_rewriting ~max_attempts:50 config with
       | exception Failure _ -> true
       | inst ->
+          incr corecover_budget_checked;
           let query = inst.Generator.query and views = inst.views in
           let reference = (Corecover.gmrs ~query ~views ()).Corecover.rewritings in
           let budget = Budget.create ~max_steps () in
@@ -704,24 +729,25 @@ let corecover_budget_anytime =
               List.equal Query.equal reference r.Corecover.rewritings
           | Corecover.Truncated e -> Vplan_error.is_resource e)
 
+(* Views that make every query rewritable, most of them in several ways:
+   one per query atom and one for the first two atoms together, each
+   exporting every variable. *)
+let covering_views (q : Query.t) =
+  let export name body =
+    let vars = List.concat_map Atom.vars body |> List.sort_uniq String.compare in
+    Query.make_exn (Atom.make name (List.map (fun x -> Term.Var x) vars)) body
+  in
+  let singles = List.mapi (fun i a -> export ("w" ^ string_of_int i) [ a ]) q.Query.body in
+  match q.Query.body with
+  | a :: b :: _ -> export "wp" [ a; b ] :: singles
+  | _ -> singles
+
 (* Planning is invariant under variable renaming and body order: a
    random isomorphic variant gets the same cost and the same answer
    count, in both cost modes — whether the service is cold or has
    already planned and analyzed unrelated queries into its memo.  Next
-   to the random views, each query atom and the first two together are
-   views exporting every variable, so every query has rewritings, most
-   of them several. *)
+   to the random views come the covering views. *)
 let plan_isomorphic_variant =
-  let covering_views (q : Query.t) =
-    let export name body =
-      let vars = List.concat_map Atom.vars body |> List.sort_uniq String.compare in
-      Query.make_exn (Atom.make name (List.map (fun x -> Term.Var x) vars)) body
-    in
-    let singles = List.mapi (fun i a -> export ("w" ^ string_of_int i) [ a ]) q.Query.body in
-    match q.Query.body with
-    | a :: b :: _ -> export "wp" [ a; b ] :: singles
-    | _ -> singles
-  in
   let variant (q : Query.t) =
     let open Gen in
     let vars = Query.vars q in
@@ -775,6 +801,44 @@ let plan_isomorphic_variant =
           && analyzed cold query = analyzed warm renamed)
         [ Service.Exact; Service.Estimated ])
 
+(* The two planning layers agree: the one-shot [Planner] and the
+   resident [Service] pick plans of the same M2 cost, exact and
+   estimated, and the planner's chosen plan computes the query's answer
+   over the base. *)
+let planning_layers_agree =
+  let gen =
+    let open Gen in
+    let* query = gen_query in
+    let* views = gen_views ~max_views:2 ~max_atoms:2 in
+    let* db = gen_database in
+    return (query, views @ covering_views query, db)
+  in
+  make_test ~count:100 ~name:"Planner and Service plans agree" gen print_with_db
+    (fun (query, views, base) ->
+      let truth = Eval.answers base query in
+      let t = Planner.create { Planner.query; views } ~base in
+      let s = Service.create (Catalog.create_exn views) in
+      Service.set_base s base;
+      let planned cost_model =
+        Option.map
+          (fun p ->
+            let cost =
+              match p with
+              | Planner.Ordered { cost; _ } -> Some (Service.Cells cost)
+              | Planner.Estimated { est_cost; _ } -> Some (Service.Cells_est est_cost)
+              | Planner.Logical _ | Planner.Annotated _ -> None
+            in
+            (cost, Relation.equal truth (Planner.execute t p)))
+          (Planner.plan ~cost_model t)
+      in
+      let served cost_mode =
+        Option.map
+          (fun o -> (Some o.Service.plan_cost, true))
+          (Service.plan ~cost_mode s query)
+      in
+      planned `M2 = served Service.Exact
+      && planned `M2_estimated = served Service.Estimated)
+
 let suite =
   [
     parser_roundtrip;
@@ -813,4 +877,5 @@ let suite =
     corecover_configs_agree;
     corecover_budget_anytime;
     plan_isomorphic_variant;
+    planning_layers_agree;
   ]

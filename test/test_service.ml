@@ -357,6 +357,25 @@ let plan_renamed_variant_is_memo_hit () =
 (* ------------------------------------------------------------------ *)
 (* Concurrent dispatch                                                 *)
 
+(* Planning before any base is loaded is a typed input error: not a
+   budget error, so a caller must load data rather than retry. *)
+let plan_without_base () =
+  let s = service () in
+  let query = Car_loc_part.query in
+  List.iter
+    (fun (what, request) ->
+      match request () with
+      | () -> Alcotest.failf "%s without a base database did not raise" what
+      | exception Vplan_error.Error (Vplan_error.No_base_database as e) ->
+          check_bool "not a resource error" false (Vplan_error.is_resource e);
+          Alcotest.(check string)
+            "message" "no base database loaded (use: data load FILE)"
+            (Vplan_error.to_string e))
+    [
+      ("plan", fun () -> ignore (Service.plan s query));
+      ("analyze", fun () -> ignore (Service.analyze s query));
+    ]
+
 let stress_concurrent_vs_sequential () =
   (* a workload with repeats and alpha-variants against one shared
      catalog: the pool must produce exactly the sequential answers *)
@@ -420,6 +439,8 @@ let suite =
     service_hit_vs_fresh_qcheck;
     Alcotest.test_case "plan: renamed variant is a memo hit" `Quick
       plan_renamed_variant_is_memo_hit;
+    Alcotest.test_case "plan: no base database is a typed error" `Quick
+      plan_without_base;
     Alcotest.test_case "service: concurrent = sequential" `Quick
       stress_concurrent_vs_sequential;
   ]
