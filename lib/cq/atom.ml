@@ -30,6 +30,8 @@ let constants a =
   List.filter_map (function Term.Cst c -> Some c | Term.Var _ -> None) a.args
 
 let apply s a = { a with args = List.map (Subst.apply_term s) a.args }
+let rename f a =
+  { a with args = List.map (function Term.Var x -> Term.Var (f x) | c -> c) a.args }
 
 let unify s pattern target =
   if String.equal pattern.pred target.pred && arity pattern = arity target then
@@ -38,12 +40,22 @@ let unify s pattern target =
       (Some s) pattern.args target.args
   else None
 
-let pp ppf a =
-  Format.fprintf ppf "%s(%a)" a.pred
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Term.pp)
-    a.args
+let bprint buf a =
+  Buffer.add_string buf a.pred;
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_char buf ',';
+      Term.bprint buf t)
+    a.args;
+  Buffer.add_char buf ')'
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  let buf = Buffer.create 32 in
+  bprint buf a;
+  Buffer.contents buf
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 module Set = Set.Make (struct
   type nonrec t = t

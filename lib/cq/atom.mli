@@ -24,10 +24,16 @@ val constants : t -> Term.const list
 (** [apply s a] applies substitution [s] to every argument. *)
 val apply : Subst.t -> t -> t
 
+(** [rename f a] renames every variable argument through [f]. *)
+val rename : (string -> string) -> t -> t
+
 (** [unify s pattern target] directionally matches [pattern] against
     [target] argument by argument (see {!Subst.unify_term}); fails when the
     predicates or arities differ. *)
 val unify : Subst.t -> t -> t -> Subst.t option
+
+(** [bprint buf a] appends [pred(t1,...,tn)] to [buf]. *)
+val bprint : Buffer.t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

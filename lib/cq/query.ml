@@ -61,6 +61,9 @@ let body_preds q =
 
 let apply s q = { head = Atom.apply s q.head; body = List.map (Atom.apply s) q.body }
 
+(* a renaming keeps every head variable in the body, so safety holds *)
+let rename f q = { head = Atom.rename f q.head; body = List.map (Atom.rename f) q.body }
+
 let rename_apart ~avoid q =
   let names, _ = Names.fresh_list ~used:avoid (vars q) in
   let s = Subst.of_list (List.map2 (fun x n -> (x, Term.Var n)) (vars q) names) in
@@ -82,9 +85,18 @@ let canonical q =
   in
   apply s q
 
-let pp ppf q =
-  Format.fprintf ppf "%a :- %a" Atom.pp q.head
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Atom.pp)
+let bprint buf q =
+  Atom.bprint buf q.head;
+  Buffer.add_string buf " :- ";
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Atom.bprint buf a)
     q.body
 
-let to_string q = Format.asprintf "%a" pp q
+let to_string q =
+  let buf = Buffer.create 128 in
+  bprint buf q;
+  Buffer.contents buf
+
+let pp ppf q = Format.pp_print_string ppf (to_string q)

@@ -44,6 +44,10 @@ val body_preds : t -> string list
     yields a safe query. *)
 val apply : Subst.t -> t -> t
 
+(** [rename f q] renames every variable of [q] through [f].  Any renaming
+    keeps a safe query safe. *)
+val rename : (string -> string) -> t -> t
+
 (** [rename_apart ~avoid q] renames every variable of [q] to a fresh name
     avoiding [avoid] (and the query's own names are reused when they do not
     collide).  Returns the renamed query and the substitution used. *)
@@ -58,6 +62,10 @@ val dedup_body : t -> t
     canonical forms.  For order-insensitive comparison see
     {!Vplan_containment.Containment.isomorphic}. *)
 val canonical : t -> t
+
+(** [bprint buf q] appends [head :- a1, ..., ak] to [buf]; [to_string]
+    and [pp] render the same text. *)
+val bprint : Buffer.t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

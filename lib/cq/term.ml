@@ -27,16 +27,13 @@ let is_var = function Var _ -> true | Cst _ -> false
 let is_const = function Cst _ -> true | Var _ -> false
 let var_name = function Var x -> Some x | Cst _ -> None
 
-let pp_const ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Str s -> Format.pp_print_string ppf s
-
-let pp ppf = function
-  | Var x -> Format.pp_print_string ppf x
-  | Cst c -> pp_const ppf c
-
-let to_string t = Format.asprintf "%a" pp t
-let const_to_string c = Format.asprintf "%a" pp_const c
+(* The one printer: [Atom] and [Query] build theirs on [bprint], and the
+   [Format] printers wrap the same strings. *)
+let const_to_string = function Int i -> string_of_int i | Str s -> s
+let to_string = function Var x -> x | Cst c -> const_to_string c
+let bprint buf t = Buffer.add_string buf (to_string t)
+let pp_const ppf c = Format.pp_print_string ppf (const_to_string c)
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -27,6 +27,10 @@ val is_const : t -> bool
 (** [var_name t] is [Some x] when [t] is [Var x]. *)
 val var_name : t -> string option
 
+(** [bprint buf t] appends [to_string t] to [buf]: the printer every
+    rendering of terms, atoms and queries goes through. *)
+val bprint : Buffer.t -> t -> unit
+
 val pp_const : Format.formatter -> const -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

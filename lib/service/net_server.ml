@@ -105,49 +105,50 @@ let stop t =
 
 (* -- writing ------------------------------------------------------- *)
 
+(* A reply goes out as its body, then a terminator that ends it with a
+   lone "." line.  The two are written in turn rather than
+   concatenated: a rewrite reply runs to hundreds of kilobytes. *)
 let frame body =
   let n = String.length body in
-  if n = 0 || body.[n - 1] = '\n' then body ^ ".\n" else body ^ "\n.\n"
+  [ body; (if n = 0 || body.[n - 1] = '\n' then ".\n" else "\n.\n") ]
 
 exception Write_failed
 
 (* Blocking-with-patience write on a nonblocking fd, used by workers:
    a stalled client blocks only its own worker, and only up to the
-   patience cap — then it is treated as a connection error. *)
-let write_all fd data =
-  let b = Bytes.of_string data in
-  let len = Bytes.length b in
+   patience cap (shared by the pieces of one reply) — then it is
+   treated as a connection error. *)
+let write_all fd pieces =
   let rounds = ref 0 in
-  let rec go off =
-    if off < len then
-      match Unix.write fd b off (len - off) with
-      | n -> go (off + n)
+  let rec go s off =
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go s (off + n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           incr rounds;
           if !rounds > 30 then raise Write_failed;
           ignore (Unix.select [] [ fd ] [] 1.0);
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          go s off
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go s off
       | exception Unix.Unix_error (_, _, _) -> raise Write_failed
   in
-  go 0
+  List.iter (fun s -> go s 0) pieces
 
 (* Poller-side write (shed / budget errors): one nonblocking burst.  A
    client that cannot absorb a few bytes while flooding us is dropped —
    the poller must never block on one connection. *)
-let direct_send t conn data =
-  let b = Bytes.of_string data in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then
-      match Unix.write conn.fd b off (len - off) with
-      | n -> go (off + n)
+let direct_send conn pieces =
+  let rec go s off =
+    if off >= String.length s then true
+    else
+      match Unix.write_substring conn.fd s off (String.length s - off) with
+      | n -> go s (off + n)
       | exception Unix.Unix_error (_, _, _) ->
           Metrics.incr connection_errors_total;
-          conn.close_after <- true
+          conn.close_after <- true;
+          false
   in
-  ignore t;
-  go 0
+  ignore (List.for_all (fun s -> go s 0) pieces)
 
 (* -- poller: connection lifecycle ---------------------------------- *)
 
@@ -273,7 +274,7 @@ let rec try_dispatch t conn =
           | None -> false
         in
         if over_budget then begin
-          direct_send t conn (frame "err request budget exhausted");
+          direct_send conn (frame "err request budget exhausted");
           close_conn t conn
         end
         else
@@ -288,7 +289,7 @@ let rec try_dispatch t conn =
                unbounded latency *)
             Metrics.incr requests_shed_total;
             Vplan_obs.Recorder.append ~kind:"shed" ~truncated:"busy" ();
-            direct_send t conn (frame "err busy");
+            direct_send conn (frame "err busy");
             if not conn.close_after then try_dispatch t conn
             else close_conn t conn
           end

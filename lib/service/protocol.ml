@@ -1,6 +1,8 @@
 (* The line protocol, shared by every front end.  Handlers render into
    a buffer-backed formatter so one request produces one [reply]; the
-   stdio loop prints it, the TCP server frames it onto the socket. *)
+   stdio loop prints it, the TCP server frames it onto the socket.
+   Rewriting lines, the bulk of a rewrite reply, bypass the formatter:
+   they are written straight into its buffer. *)
 
 open Vplan_cq
 module Budget = Vplan_core.Budget
@@ -257,7 +259,7 @@ let cmd_catalog shared ppf rest =
   | _ ->
       err ppf "usage: catalog load FILE | catalog add <rule>. | catalog remove NAME"
 
-let print_outcome ?(spans = []) (sess : session) ppf query
+let print_outcome ?(spans = []) (sess : session) ~buf ppf query
     (o : Service.outcome) =
   let source =
     match o.Service.source with
@@ -266,9 +268,8 @@ let print_outcome ?(spans = []) (sess : session) ppf query
     | Service.Bypass -> "bypass"
   in
   let trace = next_trace_id sess.shared in
-  Format.fprintf ppf "ok %d %s trace=%d@."
-    (List.length o.Service.rewritings)
-    source trace;
+  let n = Service.num_rewritings o in
+  Format.fprintf ppf "ok %d %s trace=%d@." n source trace;
   slow_log sess ~trace ~ms:o.Service.ms (Printf.sprintf "source=%s" source);
   let slow = is_slow sess ~ms:o.Service.ms in
   let truncated =
@@ -279,18 +280,21 @@ let print_outcome ?(spans = []) (sess : session) ppf query
   Recorder.append ~kind:"rewrite" ~trace ~latency_ms:o.Service.ms ~source
     ~mode:(mode_string sess.cost_mode)
     ~classification:(classification_of query)
-    ~answers:(List.length o.Service.rewritings)
+    ~answers:n
     ~truncated ~slow
     ~detail:(Atom.to_string query.Query.head)
     ~spans:(if slow then spans else [])
     ();
-  List.iter (fun p -> Format.fprintf ppf "%a@." Query.pp p) o.Service.rewritings;
+  (* flushed, the formatter has written everything before this point
+     into [buf], so the lines land in order *)
+  Format.pp_print_flush ppf ();
+  Service.render_rewritings buf o;
   match o.Service.completeness with
   | Vplan_rewrite.Corecover.Complete -> ()
   | Vplan_rewrite.Corecover.Truncated reason ->
       Format.fprintf ppf "truncated: %s@." (Vplan_error.to_string reason)
 
-let cmd_rewrite (sess : session) ppf rest =
+let cmd_rewrite (sess : session) ~buf ppf rest =
   let shared = sess.shared in
   with_service shared ppf (fun s ->
       match Parser.parse_rule rest with
@@ -301,9 +305,9 @@ let cmd_rewrite (sess : session) ppf rest =
                 Service.rewrite ?budget:(fresh_budget sess)
                   ?max_covers:sess.max_covers ~domains:shared.domains s query)
           in
-          print_outcome ~spans sess ppf query outcome)
+          print_outcome ~spans sess ~buf ppf query outcome)
 
-let cmd_batch (sess : session) ppf ~read_line rest =
+let cmd_batch (sess : session) ~buf ppf ~read_line rest =
   let shared = sess.shared in
   match int_of_string_opt rest with
   | None | Some 0 -> err ppf "usage: batch N (then N rewrite-request lines)"
@@ -327,7 +331,7 @@ let cmd_batch (sess : session) ppf ~read_line rest =
             (* the whole batch fans out over the domain pool; answers
                come back in request order *)
             List.iter2
-              (print_outcome sess ppf)
+              (print_outcome sess ~buf ppf)
               queries
               (Service.rewrite_batch
                  ~make_budget:(fun () -> fresh_budget sess)
@@ -584,8 +588,7 @@ let cmd_explain (sess : session) ppf rest =
                         ?max_covers:sess.max_covers ~domains:shared.domains s
                         query)
                 in
-                ( Printf.sprintf "rewrite %d"
-                    (List.length outcome.Service.rewritings),
+                ( Printf.sprintf "rewrite %d" (Service.num_rewritings outcome),
                   spans )
           in
           let ms = Budget.elapsed_ms clock in
@@ -601,17 +604,12 @@ let cmd_explain (sess : session) ppf rest =
                 Format.fprintf ppf "join tree:@.%a@." Hypergraph.pp_tree t);
           Format.fprintf ppf "%a" Trace.pp_tree spans)
 
+(* compared in place: no substring is allocated per offset *)
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + m <= n do
-      if String.sub s !i m = sub then found := true else incr i
-    done;
-    !found
-  end
+  let rec matches_at i j = j = m || (s.[i + j] = sub.[j] && matches_at i (j + 1)) in
+  let rec from i = i + m <= n && (matches_at i 0 || from (i + 1)) in
+  from 0
 
 (* the recorder is process-global, so these answer even before a
    catalog loads — a recorder dump must work on a wedged server *)
@@ -763,7 +761,7 @@ let extra_lines line =
   else match int_of_string_opt rest with Some n when n > 0 -> n | _ -> 0
 
 (* [true] = keep the connection; [false] = close after this reply. *)
-let dispatch (sess : session) ppf ~read_line line =
+let dispatch (sess : session) ~buf ppf ~read_line line =
   let shared = sess.shared in
   let line = String.trim line in
   if line = "" then true
@@ -773,8 +771,8 @@ let dispatch (sess : session) ppf ~read_line line =
     | "quit" | "exit" -> false
     | "help" -> help ppf; true
     | "catalog" -> cmd_catalog shared ppf rest; true
-    | "rewrite" -> cmd_rewrite sess ppf rest; true
-    | "batch" -> cmd_batch sess ppf ~read_line rest; true
+    | "rewrite" -> cmd_rewrite sess ~buf ppf rest; true
+    | "batch" -> cmd_batch sess ~buf ppf ~read_line rest; true
     | "data" -> cmd_data sess ppf rest; true
     | "plan" -> cmd_plan sess ppf rest; true
     | "explain" ->
@@ -798,7 +796,7 @@ let handle shared sess ~read_line line =
   (* fault containment: a request that raises yields one "err" line and
      the connection (and every other connection) lives on *)
   let keep =
-    try dispatch sess ppf ~read_line line with
+    try dispatch sess ~buf ppf ~read_line line with
     | Vplan_error.Error e ->
         err ppf "%s" (Vplan_error.to_string e);
         true

@@ -33,9 +33,26 @@ let estimate_qerror_h =
 
 type source = Hit | Miss | Bypass
 
+(* A CoreCover result reduced to what a reply reads, in the variables
+   it was computed in.  Every rewriting is a cover by view tuples, and
+   the covers of one query share few of them, so each distinct body atom
+   is kept once in [pool] and a rewriting is its body as pool indices.
+   Every rewriting's head is the minimized query's ([Corecover] builds
+   them so). *)
+type compact = {
+  c_pool : Atom.t array;
+  c_bodies : int array array;
+  c_minimized : Query.t;
+  c_completeness : Corecover.completeness;
+  c_stats : Corecover.stats;
+}
+
+(* [back] renames the compact answer's variables into the caller's; a
+   variable it does not bind keeps its name *)
+type answer = { compact : compact; back : string Names.Smap.t }
+
 type outcome = {
-  rewritings : Query.t list;
-  minimized_query : Query.t;
+  answer : answer;
   completeness : Corecover.completeness;
   corecover_stats : Corecover.stats;
   source : source;
@@ -93,7 +110,7 @@ type plan_outcome = {
    hit the requested canonical form is compared against it, so even a
    (never observed) canonical-form collision could only cause a recompute,
    never a wrong answer. *)
-type entry = { canon : Query.t; result : Corecover.result }
+type entry = { canon : Query.t; compact : compact }
 
 (* Plan-selection state, valid for exactly one (catalog, base database)
    pair: the materialized view relations and the subplan memo keyed over
@@ -202,19 +219,74 @@ let set_base ?stats t db =
       t.ectx <- None)
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only
-   var-to-var; its inverse renames canonical-variable results back. *)
+   var-to-var; its inverse, as a name map, renames canonical-variable
+   results back. *)
 let invert sigma =
-  Subst.of_list
-    (List.map
-       (fun (x, term) ->
-         match term with
-         | Term.Var y -> (y, Term.Var x)
-         | Term.Cst _ -> assert false)
-       (Subst.bindings sigma))
+  List.fold_left
+    (fun back (x, term) ->
+      match Term.var_name term with
+      | Some y -> Names.Smap.add y x back
+      | None -> back)
+    Names.Smap.empty (Subst.bindings sigma)
 
-let rename_result inv (r : Corecover.result) =
-  ( List.map (fun p -> Query.apply inv p) r.Corecover.rewritings,
-    Query.apply inv r.Corecover.minimized_query )
+let rename_var back x =
+  match Names.Smap.find_opt x back with Some y -> y | None -> x
+
+(* Hash-cons the rewritings' body atoms into the pool. *)
+let compact (r : Corecover.result) =
+  let index = Hashtbl.create 64 and pool = ref [] in
+  let intern a =
+    match Hashtbl.find_opt index a with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length index in
+        Hashtbl.add index a i;
+        pool := a :: !pool;
+        i
+  in
+  let bodies =
+    List.map
+      (fun (p : Query.t) -> Array.of_list (List.map intern p.Query.body))
+      r.Corecover.rewritings
+  in
+  {
+    c_pool = Array.of_list (List.rev !pool);
+    c_bodies = Array.of_list bodies;
+    c_minimized = r.Corecover.minimized_query;
+    c_completeness = r.Corecover.completeness;
+    c_stats = r.Corecover.stats;
+  }
+
+let num_rewritings o = Array.length o.answer.compact.c_bodies
+
+let rewritings o =
+  let { compact = c; back } = o.answer in
+  let rename = Atom.rename (rename_var back) in
+  let head = rename c.c_minimized.Query.head and pool = Array.map rename c.c_pool in
+  Array.to_list
+    (Array.map
+       (fun body -> Query.make_exn head (List.map (Array.get pool) (Array.to_list body)))
+       c.c_bodies)
+
+let minimized_query o =
+  Query.rename (rename_var o.answer.back) o.answer.compact.c_minimized
+
+(* Each pool atom and the head are renamed and printed once; every line
+   is then blitted together from those strings. *)
+let render_rewritings buf o =
+  let { compact = c; back } = o.answer in
+  let print a = Atom.to_string (Atom.rename (rename_var back) a) in
+  let head = print c.c_minimized.Query.head ^ " :- " and atoms = Array.map print c.c_pool in
+  Array.iter
+    (fun body ->
+      Buffer.add_string buf head;
+      Array.iteri
+        (fun i k ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf atoms.(k))
+        body;
+      Buffer.add_char buf '\n')
+    c.c_bodies
 
 let record t ~probed ~completeness ~ms =
   Metrics.incr requests_total;
@@ -237,22 +309,18 @@ let record t ~probed ~completeness ~ms =
       t.lat_sum <- t.lat_sum +. ms;
       if ms > t.lat_max then t.lat_max <- ms)
 
-let outcome_of ~source ~ms rewritings minimized_query (r : Corecover.result) =
-  {
-    rewritings;
-    minimized_query;
-    completeness = r.Corecover.completeness;
-    corecover_stats = r.Corecover.stats;
-    source;
-    ms;
-  }
-
 let rewrite ?budget ?max_covers ?(domains = 1) t query =
   let clock = Budget.create () in
-  let finish ~probed ~source (rewritings, minimized_query) r =
+  let finish ~probed ~source compact back =
     let ms = Budget.elapsed_ms clock in
-    record t ~probed ~completeness:r.Corecover.completeness ~ms;
-    outcome_of ~source ~ms rewritings minimized_query r
+    record t ~probed ~completeness:compact.c_completeness ~ms;
+    {
+      answer = { compact; back };
+      completeness = compact.c_completeness;
+      corecover_stats = compact.c_stats;
+      source;
+      ms;
+    }
   in
   (* snapshot the catalog: a concurrent [set_catalog] must not mix
      generations within one request *)
@@ -265,36 +333,33 @@ let rewrite ?budget ?max_covers ?(domains = 1) t query =
   match Normalize.canonicalize query with
   | None ->
       (* canonical-labeling search blew its cap: uncacheable, run as-is *)
-      let r = run query in
-      finish ~probed:false ~source:Bypass
-        (r.Corecover.rewritings, r.Corecover.minimized_query)
-        r
+      finish ~probed:false ~source:Bypass (compact (run query)) Names.Smap.empty
   | Some (canon, sigma) -> (
       let key = Query.to_string canon in
-      let inv = invert sigma in
+      let back = invert sigma in
       let cached =
         locked t (fun () ->
             if t.cat != cat then None
             else
               match Rewrite_cache.find t.cache key with
-              | Some e when Query.equal e.canon canon -> Some e.result
+              | Some e when Query.equal e.canon canon -> Some e.compact
               | Some _ | None -> None)
       in
       match cached with
-      | Some r -> finish ~probed:true ~source:Hit (rename_result inv r) r
+      | Some c -> finish ~probed:true ~source:Hit c back
       | None ->
-          let r = run canon in
+          let c = compact (run canon) in
           let source =
-            match r.Corecover.completeness with
+            match c.c_completeness with
             | Corecover.Complete ->
                 locked t (fun () ->
                     (* only publish results computed against the live
                        catalog generation *)
-                    if t.cat == cat then Rewrite_cache.add t.cache key { canon; result = r });
+                    if t.cat == cat then Rewrite_cache.add t.cache key { canon; compact = c });
                 Miss
             | Corecover.Truncated _ -> Bypass
           in
-          finish ~probed:true ~source (rename_result inv r) r)
+          finish ~probed:true ~source c back)
 
 let rewrite_batch ?(make_budget = fun () -> None) ?max_covers ?(domains = 1) t
     queries =
@@ -388,7 +453,7 @@ let interned t ctx =
 let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
   let query, back =
     match Normalize.canonicalize query with
-    | None -> (query, Subst.empty)
+    | None -> (query, Names.Smap.empty)
     | Some (canon, sigma) -> (canon, invert sigma)
   in
   let r =
@@ -425,7 +490,8 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
   ( r,
     Option.map
       (fun (rw, order, cost) ->
-        (Query.apply back rw, List.map (Atom.apply back) order, cost))
+        let rename = rename_var back in
+        (Query.rename rename rw, List.map (Atom.rename rename) order, cost))
       choice )
 
 let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =

@@ -5,7 +5,8 @@
     query ({!Vplan_rewrite.Normalize.canonicalize}): every request is
     renamed into canonical variables, CoreCover runs on the canonical
     query (reusing the catalog's precomputed view classes), and the
-    result is renamed back into the caller's variables.  Because the
+    result is renamed back into the caller's variables when it is read
+    or rendered ({!answer}).  Because the
     canonical form is complete for isomorphism, two requests share a
     cache entry iff they are the same query up to variable renaming and
     subgoal reordering — and because {e every} request goes through the
@@ -38,14 +39,40 @@ type t
     its search cap and is treated as uncacheable). *)
 type source = Hit | Miss | Bypass
 
+(** A request's rewritings in compact canonical form: the answer the
+    cache holds (the minimized query, whose head every rewriting shares,
+    a pool of the distinct body atoms, and each rewriting as its body's
+    pool indices),
+    plus the renaming of its variables into the caller's.  A hit shares
+    the cached answer and renames nothing; the caller's variables appear
+    only when the answer is read through {!rewritings},
+    {!minimized_query} or {!render_rewritings}. *)
+type answer
+
 type outcome = {
-  rewritings : Query.t list;  (** in the caller's variables *)
-  minimized_query : Query.t;  (** in the caller's variables *)
+  answer : answer;  (** read it with the functions below *)
   completeness : Corecover.completeness;
   corecover_stats : Corecover.stats;
   source : source;
   ms : float;  (** wall-clock latency of this request *)
 }
+
+(** The number of rewritings, without materializing them. *)
+val num_rewritings : outcome -> int
+
+(** The rewritings as queries in the caller's variables, in CoreCover's
+    order.  Builds every query: for tests and one-shot callers. *)
+val rewritings : outcome -> Query.t list
+
+(** The minimized query, in the caller's variables. *)
+val minimized_query : outcome -> Query.t
+
+(** [render_rewritings buf o] appends one line per rewriting to [buf],
+    each [Query.to_string] of the corresponding element of
+    {!rewritings} followed by a newline.  It renames and prints each pool
+    atom and the head once, then writes every line from those strings —
+    the reply path of a rewrite request. *)
+val render_rewritings : Buffer.t -> outcome -> unit
 
 type latency = {
   count : int;

@@ -70,6 +70,67 @@ let parser_roundtrip =
       | Ok q' -> Query.equal q q'
       | Error _ -> false)
 
+(* The Buffer printer renders exactly what the Format printer it
+   replaced did: [legacy_pp] is that printer, kept here as the
+   reference.  Queries mix Int (negative ones too) and Str constants and
+   run past the Format margin, where a break hint would show. *)
+let legacy_pp =
+  let pp_term ppf = function
+    | Term.Var x -> Format.pp_print_string ppf x
+    | Term.Cst (Term.Int i) -> Format.pp_print_int ppf i
+    | Term.Cst (Term.Str s) -> Format.pp_print_string ppf s
+  in
+  let pp_atom ppf (a : Atom.t) =
+    Format.fprintf ppf "%s(%a)" a.Atom.pred
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp_term)
+      a.Atom.args
+  in
+  fun ppf (q : Query.t) ->
+    Format.fprintf ppf "%a :- %a" pp_atom q.Query.head
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_atom)
+      q.Query.body
+
+let printer_equals_format =
+  let open Gen in
+  let gen_term =
+    frequency
+      [
+        (5, map (fun x -> Term.Var x) (oneofl [ "X"; "Y0"; "Long_variable_name" ]));
+        (2, map (fun i -> Term.Cst (Term.Int i)) (oneof [ int_range (-50) 50; int ]));
+        (2, map (fun s -> Term.Cst (Term.Str s)) (oneofl [ "c"; "anderson"; "springfield" ]));
+      ]
+  in
+  let gen_atom =
+    let* pred = oneofl [ "p"; "v12"; "a_rather_long_view_name" ] in
+    let* args = list_size (int_range 0 5) gen_term in
+    return (Atom.make pred args)
+  in
+  let gen =
+    let* body = list_size (int_range 0 12) gen_atom in
+    let vars = List.concat_map Atom.vars body in
+    let* head = list_size (int_range 0 3) (oneofl (if vars = [] then [ "" ] else vars)) in
+    let head = List.filter (fun x -> x <> "") head in
+    return (Query.make_exn (Atom.make "q" (List.map (fun x -> Term.Var x) head)) body)
+  in
+  make_test ~name:"Buffer printer = Format printer" gen print_query (fun q ->
+      (* the reply path: Format lines ended by [@.] into one buffer *)
+      let via_format =
+        let buf = Buffer.create 256 in
+        let ppf = Format.formatter_of_buffer buf in
+        Format.fprintf ppf "%a@.%a@." legacy_pp q legacy_pp q;
+        Buffer.contents buf
+      in
+      let via_buffer =
+        let buf = Buffer.create 256 in
+        Query.bprint buf q;
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (Format.asprintf "%a" Query.pp q);
+        Buffer.add_char buf '\n';
+        Buffer.contents buf
+      in
+      String.equal via_format via_buffer
+      && String.equal (Query.to_string q) (Format.asprintf "%a" legacy_pp q))
+
 let containment_reflexive =
   make_test ~name:"containment reflexive" gen_query print_query (fun q ->
       Containment.is_contained q q)
@@ -842,6 +903,7 @@ let planning_layers_agree =
 let suite =
   [
     parser_roundtrip;
+    printer_equals_format;
     containment_sound;
     containment_canonical;
     containment_reflexive;

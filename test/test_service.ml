@@ -170,8 +170,8 @@ let service_hit_identical () =
   check_bool "second is a hit" true (o2.Service.source = Service.Hit);
   (* observationally identical: same rewritings, same completeness *)
   check_bool "same rewritings" true
-    (List.for_all2 Query.equal o1.Service.rewritings o2.Service.rewritings);
-  check_query "same minimized query" o1.Service.minimized_query o2.Service.minimized_query
+    (List.for_all2 Query.equal (Service.rewritings o1) (Service.rewritings o2));
+  check_query "same minimized query" (Service.minimized_query o1) (Service.minimized_query o2)
 
 let service_hit_renames_back () =
   let s = service () in
@@ -182,13 +182,13 @@ let service_hit_renames_back () =
   check_bool "alpha-variant is a hit" true (o.Service.source = Service.Hit);
   let fresh = Service.rewrite (service ()) variant in
   check_bool "hit = fresh service run, exactly" true
-    (List.for_all2 Query.equal o.Service.rewritings fresh.Service.rewritings);
+    (List.for_all2 Query.equal (Service.rewritings o) (Service.rewritings fresh));
   (* every rewriting is a genuine equivalent rewriting of the variant *)
   List.iter
     (fun p ->
       check_bool "sound" true
         (Expansion.is_equivalent_rewriting ~views:Car_loc_part.views ~query:variant p))
-    o.Service.rewritings
+    (Service.rewritings o)
 
 let service_truncated_not_cached () =
   let s = service () in
@@ -202,7 +202,7 @@ let service_truncated_not_cached () =
   let o2 = Service.rewrite s Car_loc_part.query in
   check_bool "next request is a miss" true (o2.Service.source = Service.Miss);
   check_bool "and complete" true (o2.Service.completeness = Corecover.Complete);
-  check_bool "with rewritings" true (o2.Service.rewritings <> []);
+  check_bool "with rewritings" true (Service.num_rewritings o2 > 0);
   let o3 = Service.rewrite s Car_loc_part.query in
   check_bool "now cached" true (o3.Service.source = Service.Hit)
 
@@ -219,8 +219,8 @@ let service_generation_invalidates () =
   check_bool "cache cleared on catalog swap" true (o2.Service.source = Service.Miss);
   (* v4 gone: the single-view rewriting disappears *)
   check_bool "answers reflect the new generation" true
-    (List.length o2.Service.rewritings < List.length o1.Service.rewritings
-    || not (List.for_all2 Query.equal o1.Service.rewritings o2.Service.rewritings))
+    (List.length (Service.rewritings o2) < List.length (Service.rewritings o1)
+    || not (List.for_all2 Query.equal (Service.rewritings o1) (Service.rewritings o2)))
 
 let service_stats_consistent () =
   let s = service () in
@@ -285,7 +285,105 @@ let service_hit_vs_fresh_qcheck =
       let fresh = Corecover.gmrs ~query:variant ~views () in
       o1.Service.source = Service.Miss
       && o2.Service.source = Service.Hit
-      && same_up_to_iso o2.Service.rewritings fresh.Corecover.rewritings)
+      && same_up_to_iso (Service.rewritings o2) fresh.Corecover.rewritings)
+
+(* The reply path: a rewrite served as a hit through [Protocol] renders
+   the same bytes as a cold service's miss on the same request, and those
+   lines are Corecover's GMRs of the request (bodies and lines sorted: a
+   hit keeps the canonical run's order).  [Service.rewritings] parses
+   back to the rendered lines. *)
+let rewrite_reply shared sess query =
+  let text =
+    (Protocol.handle_lines shared sess [ "rewrite " ^ Query.to_string query ^ "." ])
+      .Protocol.text
+  in
+  match String.index_opt text '\n' with
+  | Some i -> (String.sub text 0 i, String.sub text (i + 1) (String.length text - i - 1))
+  | None -> (text, "")
+
+let sorted_lines queries =
+  List.sort String.compare
+    (List.map
+       (fun (p : Query.t) ->
+         Query.to_string
+           (Query.make_exn p.Query.head (List.sort Atom.compare p.Query.body)))
+       queries)
+
+let hit_reply_equals_cold_miss_qcheck =
+  let gen =
+    Gen.triple Qcheck_gens.gen_query
+      (Qcheck_gens.gen_views ~max_views:3 ~max_atoms:2)
+      (Gen.pair (Gen.shuffle_l [ 0; 1; 2; 3 ]) Gen.bool)
+  in
+  let print (query, views, _) = Qcheck_gens.print_instance (query, views) in
+  make_qcheck ~count:100 ~name:"hit reply = cold miss reply = Corecover" gen print
+    (fun (query, views, (perm, reverse)) ->
+      (* a random isomorphic variant: fresh names assigned by a random
+         permutation (queries have at most four variables), body order
+         possibly reversed *)
+      let vars = Query.vars query in
+      let sigma =
+        Subst.of_list
+          (List.mapi (fun i x -> (x, Term.Var ("Y" ^ string_of_int (List.nth perm i)))) vars)
+      in
+      let renamed = Query.apply sigma query in
+      let variant =
+        Query.make_exn renamed.Query.head
+          (if reverse then List.rev renamed.Query.body else renamed.Query.body)
+      in
+      let server () =
+        let shared = Protocol.create_shared () in
+        Protocol.install_catalog shared (Catalog.create_exn views);
+        (shared, Protocol.new_session shared)
+      in
+      let warm, wsess = server () and cold, csess = server () in
+      let _ = rewrite_reply warm wsess query in
+      let hit_head, hit_lines = rewrite_reply warm wsess variant in
+      let miss_head, miss_lines = rewrite_reply cold csess variant in
+      (* "ok N SOURCE trace=ID" *)
+      let field i head = List.nth (String.split_on_char ' ' head) i in
+      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' hit_lines) in
+      let parsed = List.map (fun l -> Parser.parse_rule_exn (l ^ ".")) lines in
+      let svc = Option.get (Protocol.service warm) in
+      let o = Service.rewrite svc variant in
+      let fresh = Corecover.gmrs ~query:variant ~views () in
+      field 2 hit_head = "hit"
+      && field 2 miss_head = "miss"
+      && field 1 hit_head = field 1 miss_head
+      && String.equal hit_lines miss_lines
+      && sorted_lines parsed = sorted_lines fresh.Corecover.rewritings
+      && List.equal Query.equal parsed (Service.rewritings o))
+
+(* A query whose canonicalization blows its cap is served as a bypass:
+   its rewritings still render in the caller's own variables, exactly as
+   Corecover returns them for the query as written. *)
+let bypass_renders_caller_variables () =
+  let views = qs [ "v(A, B) :- e(A, B)." ] in
+  (* 25 existential variables: more than the canonical labeling takes *)
+  let query =
+    Query.make_exn
+      (Atom.make "q" [ Term.Var "X" ])
+      (List.init 25 (fun i -> Atom.make "e" [ Term.Var "X"; Term.Var ("W" ^ string_of_int i) ]))
+  in
+  check_bool "uncanonicalizable" true (Normalize.canonicalize query = None);
+  let s = Service.create (Catalog.create_exn views) in
+  let o = Service.rewrite s query in
+  check_bool "bypass" true (o.Service.source = Service.Bypass);
+  let buf = Buffer.create 64 in
+  Service.render_rewritings buf o;
+  let direct = Corecover.gmrs ~query ~views () in
+  Alcotest.(check string)
+    "rendered = Corecover on the query as written"
+    (String.concat "" (List.map (fun p -> Query.to_string p ^ "\n") direct.Corecover.rewritings))
+    (Buffer.contents buf);
+  check_bool "one rewriting" true (Service.num_rewritings o = 1);
+  let caller = Names.sset_of_list (Query.vars query) in
+  List.iter
+    (fun p ->
+      check_bool "in the caller's variables" true
+        (List.for_all (fun x -> Names.Sset.mem x caller) (Query.vars p)))
+    (Service.rewritings o);
+  check_bool "never cached" true ((Service.rewrite s query).Service.source = Service.Bypass)
 
 (* ------------------------------------------------------------------ *)
 (* Planning in canonical variables                                     *)
@@ -399,7 +497,7 @@ let stress_concurrent_vs_sequential () =
   List.iter2
     (fun (a : Service.outcome) (b : Service.outcome) ->
       check_bool "same rewritings under concurrency" true
-        (List.for_all2 Query.equal a.Service.rewritings b.Service.rewritings);
+        (List.for_all2 Query.equal (Service.rewritings a) (Service.rewritings b));
       check_bool "same completeness" true
         (a.Service.completeness = b.Service.completeness))
     sequential concurrent;
@@ -437,6 +535,9 @@ let suite =
     Alcotest.test_case "service: stats survive catalog swap" `Quick
       service_stats_survive_catalog_swap;
     service_hit_vs_fresh_qcheck;
+    hit_reply_equals_cold_miss_qcheck;
+    Alcotest.test_case "service: bypass renders in caller variables" `Quick
+      bypass_renders_caller_variables;
     Alcotest.test_case "plan: renamed variant is a memo hit" `Quick
       plan_renamed_variant_is_memo_hit;
     Alcotest.test_case "plan: no base database is a typed error" `Quick
